@@ -22,10 +22,15 @@
 //!
 //! Thread count resolution order: test/bench override ([`with_threads`])
 //! → the `RRS_THREADS` environment variable → `min(available cores, 8)`.
+//!
+//! Workers are fresh threads, so thread-local state on the caller does
+//! not follow the work. [`set_worker_context`] registers the one hook
+//! that carries it: `rrs-obs` uses it so a span opened in a worker keeps
+//! the caller's open span as its parent.
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Upper bound applied to the auto-detected core count. Keeps the default
 /// pool modest on many-core machines; raise explicitly via `RRS_THREADS`.
@@ -39,6 +44,13 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 /// Serializes [`with_threads`] callers so concurrent tests cannot
 /// interleave their overrides.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
+
+/// A worker-context hook: `(capture, install)`, see
+/// [`set_worker_context`].
+type WorkerContext = (fn() -> u64, fn(u64));
+
+/// The registered worker-context hook.
+static WORKER_CONTEXT: OnceLock<WorkerContext> = OnceLock::new();
 
 thread_local! {
     /// Set inside pool workers so nested [`par_map`] calls degrade to the
@@ -67,6 +79,34 @@ pub fn thread_count() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get().min(DEFAULT_MAX_THREADS))
 }
 
+/// Registers the process-wide worker-context hook: `capture` runs on the
+/// thread calling [`par_map`] / [`par_map_owned`] before it fans out,
+/// and `install` runs first in every worker with the captured value.
+///
+/// The serial path never calls either, since it runs on the caller's own
+/// thread. Only the first registration takes effect; later calls are
+/// no-ops, so a subsystem may register on every initialisation.
+pub fn set_worker_context(capture: fn() -> u64, install: fn(u64)) {
+    let _ = WORKER_CONTEXT.set((capture, install));
+}
+
+/// Captures the caller's context for the workers about to be spawned:
+/// the hook's `install` paired with the value to install.
+fn capture_worker_context() -> Option<(fn(u64), u64)> {
+    WORKER_CONTEXT
+        .get()
+        .map(|&(capture, install)| (install, capture()))
+}
+
+/// Marks the current thread as a pool worker and installs the caller's
+/// context.
+fn enter_worker(context: Option<(fn(u64), u64)>) {
+    IN_WORKER.with(|flag| flag.set(true));
+    if let Some((install, value)) = context {
+        install(value);
+    }
+}
+
 /// Runs `f` with the pool size forced to `threads` (minimum 1), then
 /// restores the previous setting.
 ///
@@ -78,6 +118,12 @@ pub fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     let _serialize = OVERRIDE_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
+    override_threads(threads, f)
+}
+
+/// The body of [`with_threads`], for callers already holding
+/// `OVERRIDE_LOCK`.
+fn override_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(usize);
     impl Drop for Restore {
         fn drop(&mut self) {
@@ -119,6 +165,7 @@ where
             .collect();
     }
 
+    let context = capture_worker_context();
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::new();
     slots.resize_with(items.len(), || None);
@@ -129,7 +176,7 @@ where
             let next = &next;
             let f = &f;
             handles.push(scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
+                enter_worker(context);
                 let mut local: Vec<(usize, U)> = Vec::new();
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -190,6 +237,7 @@ where
     // per-cell Mutex is uncontended by construction — it only makes the
     // ownership handoff expressible without `unsafe`.
     let cells: Vec<Mutex<Option<T>>> = items.into_iter().map(|x| Mutex::new(Some(x))).collect();
+    let context = capture_worker_context();
     let next = AtomicUsize::new(0);
     let mut slots: Vec<Option<U>> = Vec::new();
     slots.resize_with(cells.len(), || None);
@@ -201,7 +249,7 @@ where
             let f = &f;
             let cells = &cells;
             handles.push(scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
+                enter_worker(context);
                 let mut local: Vec<(usize, U)> = Vec::new();
                 loop {
                     let index = next.fetch_add(1, Ordering::Relaxed);
@@ -285,10 +333,33 @@ mod tests {
 
     #[test]
     fn override_takes_priority_and_restores() {
+        // Hold the serialization lock across both reads so a concurrent
+        // `with_threads` in another test cannot move the override between
+        // them.
+        let _serialize = OVERRIDE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let before = thread_count();
-        let inside = with_threads(3, thread_count);
+        let inside = override_threads(3, thread_count);
         assert_eq!(inside, 3);
         assert_eq!(thread_count(), before);
+    }
+
+    thread_local! {
+        static CONTEXT: Cell<u64> = const { Cell::new(0) };
+    }
+
+    #[test]
+    fn worker_context_reaches_every_worker() {
+        set_worker_context(|| CONTEXT.with(Cell::get), |v| CONTEXT.with(|c| c.set(v)));
+        CONTEXT.with(|c| c.set(42));
+        let items: Vec<usize> = (0..64).collect();
+        let borrowed = with_threads(8, || par_map(&items, |_, _| CONTEXT.with(Cell::get)));
+        let owned = with_threads(8, || {
+            par_map_owned(items.clone(), |_, _| CONTEXT.with(Cell::get))
+        });
+        assert_eq!(borrowed, vec![42; 64]);
+        assert_eq!(owned, vec![42; 64]);
     }
 
     #[test]

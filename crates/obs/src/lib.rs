@@ -92,7 +92,12 @@ pub fn enabled() -> bool {
 }
 
 /// Turns span, metrics, and decision-trace collection on.
+///
+/// Also registers the span stack as `rrs_core::par`'s worker context, so
+/// spans opened inside pool workers keep the caller's open span as their
+/// parent at any thread count.
 pub fn enable() {
+    rrs_core::par::set_worker_context(trace::open_span, trace::adopt_parent);
     ENABLED.store(true, Ordering::Relaxed);
 }
 

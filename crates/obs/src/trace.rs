@@ -9,11 +9,13 @@
 //!
 //! Spans are *hierarchical*: each live span pushes its id onto a
 //! thread-local stack, so a span opened while another is live on the
-//! same thread records that span as its parent. [`tree_totals`] folds a
-//! span batch into per-path aggregates (paths are `;`-joined name chains
-//! from root to leaf) and [`collapsed_stacks`] renders the batch in the
-//! collapsed-stack text format flamegraph tools consume, with self-time
-//! (own nanoseconds minus direct children) as the sample value.
+//! same thread records that span as its parent; pool workers spawned by
+//! `rrs_core::par` start from the caller's open span (registered by
+//! [`crate::enable`]), so fan-out keeps the serial tree. [`tree_totals`]
+//! folds a span batch into per-path aggregates (paths are `;`-joined name
+//! chains from root to leaf) and [`collapsed_stacks`] renders the batch
+//! in the collapsed-stack text format flamegraph tools consume, with
+//! self-time (own nanoseconds minus direct children) as the sample value.
 //!
 //! An *event* is a named point-in-time note with a lazily built message —
 //! the closure only runs when collection is enabled, so formatting costs
@@ -126,6 +128,22 @@ pub fn span(name: &'static str) -> Span {
         start: Some(Instant::now()),
         id,
         parent,
+    }
+}
+
+/// Returns the id of this thread's innermost open span, or 0 — the
+/// value [`crate::enable`] has `rrs_core::par` capture on the caller
+/// before a fan-out.
+pub(crate) fn open_span() -> u64 {
+    SPAN_STACK.with(|stack| stack.borrow().last().copied().unwrap_or(0))
+}
+
+/// Seeds a pool worker's empty span stack with the caller's open span
+/// (see [`open_span`]), so spans the worker opens nest under it exactly
+/// as they would on the serial path.
+pub(crate) fn adopt_parent(parent: u64) {
+    if parent != 0 {
+        SPAN_STACK.with(|stack| stack.borrow_mut().push(parent));
     }
 }
 
@@ -418,6 +436,32 @@ mod tests {
         // empty, so its span has no parent even though stage.outer was
         // live on the spawning thread.
         assert_eq!(worker.parent, 0);
+    }
+
+    #[test]
+    fn spans_in_par_workers_nest_under_the_callers_span() {
+        let _guard = tests_lock();
+        crate::enable();
+        drain_spans();
+        let items: Vec<u32> = (0..16).collect();
+        {
+            let _outer = span("stage.outer");
+            rrs_core::par::with_threads(8, || {
+                rrs_core::par::par_map(&items, |_, _| {
+                    let _worker = span("stage.worker");
+                })
+            });
+        }
+        let spans = drain_spans();
+        crate::disable();
+        let outer = spans.iter().find(|s| s.name == "stage.outer").unwrap();
+        let workers: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "stage.worker").collect();
+        assert_eq!(workers.len(), items.len());
+        // Unlike a bare spawned thread, a pool worker starts from the
+        // caller's open span, so the tree matches the serial run.
+        for worker in workers {
+            assert_eq!(worker.parent, outer.id);
+        }
     }
 
     #[test]

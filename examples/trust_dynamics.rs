@@ -33,7 +33,7 @@ fn main() {
     for (epoch, period) in eval_ctx.periods().iter().enumerate() {
         let prefix_window =
             TimeWindow::new(eval_ctx.horizon().start(), period.end()).expect("inside horizon");
-        let prefix = attacked.restricted(prefix_window);
+        let prefix = attacked.prefix_view(prefix_window);
         let snapshot = trust.snapshot();
         let (marks, _) = detector.detect_all(&prefix, prefix_window, |r| {
             snapshot.get(&r).copied().unwrap_or(0.5)

@@ -11,6 +11,7 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline --workspace
 cargo test -q --workspace --offline
 cargo fmt --check
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 # Static analysis: the committed tree must be lint-clean (exit 0) under
 # all three workspace passes (determinism sanitizer, layering DAG,
@@ -85,13 +86,6 @@ diff -r "$TMP/threads1" "$TMP/threads8"
 # (signal.online.*) the batch oracle never touches.
 RRS_ONLINE=0 RRS_THREADS=1 target/release/experiments --scale small --seed 42 --out "$TMP/batch"
 diff -r --exclude=metrics.json "$TMP/threads1" "$TMP/batch"
-
-# Storage-engine oracle: datasets default to the sharded columnar store;
-# RRS_STORE=row re-runs the suite on the row-oriented oracle store, which
-# must emit byte-identical result trees (RRS_TRACE=1 matches the
-# threads1 run, so metrics.json is compared too).
-RRS_STORE=row RRS_TRACE=1 RRS_THREADS=1 target/release/experiments --scale small --seed 42 --out "$TMP/rowstore"
-diff -r "$TMP/threads1" "$TMP/rowstore"
 
 # Serving smoke: SIGKILL a live server after acknowledged submissions,
 # restart it from the WAL, finish the workload, and require the
