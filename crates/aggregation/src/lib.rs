@@ -16,7 +16,6 @@
 //! and the Rating Challenge harness treat them interchangeably.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod bf;
 pub mod filter;

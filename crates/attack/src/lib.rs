@@ -27,7 +27,6 @@
 //!   caller-supplied effect oracle.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod adaptive;
 pub mod generator;

@@ -66,6 +66,10 @@ fn synthesize(count: usize, seed: u64) -> Vec<Rating> {
 
 /// One timed bulk ingest of the whole corpus into a fresh columnar
 /// dataset; returns the dataset and the elapsed nanoseconds.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rrs-bench measures wall time by definition"
+)]
 fn timed_bulk_ingest(ratings: &[Rating]) -> (RatingDataset, u128) {
     let batch: Vec<Rating> = ratings.to_vec();
     let mut dataset = RatingDataset::new();
@@ -78,6 +82,10 @@ fn timed_bulk_ingest(ratings: &[Rating]) -> (RatingDataset, u128) {
 
 /// One timed full scan: every product's contiguous value column walked
 /// once (the detector hot loop's memory access pattern).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rrs-bench measures wall time by definition"
+)]
 fn timed_full_scan(dataset: &RatingDataset) -> (f64, u128) {
     let start = Instant::now();
     let mut acc = 0.0f64;
@@ -92,6 +100,10 @@ fn timed_full_scan(dataset: &RatingDataset) -> (f64, u128) {
 
 /// Serial appends through `RatingDataset::insert`, each individually
 /// timed into the quantile sketch.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rrs-bench measures wall time by definition"
+)]
 fn append_latency(ratings: &[Rating]) -> QuantileSketch {
     let mut sketch = QuantileSketch::new();
     let mut dataset = RatingDataset::new();

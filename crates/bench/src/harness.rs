@@ -9,7 +9,8 @@
 //! one batch takes at least [`TARGET_BATCH_NANOS`] — then timed for a
 //! fixed number of batches. The JSON records mean/median/min/max/std-dev
 //! nanoseconds **per iteration**, so numbers are comparable across
-//! machines regardless of the calibrated batch size.
+//! machines regardless of the calibrated batch size. A `machine` block
+//! names where the numbers came from: cores, pool width and commit.
 //!
 //! Environment knobs:
 //!
@@ -116,6 +117,10 @@ impl Harness {
     ///
     /// The closure's return value is passed through [`black_box`] so the
     /// optimizer cannot elide the work.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "rrs-bench measures wall time by definition"
+    )]
     pub fn bench<T, F: FnMut() -> T>(&mut self, name: &str, mut body: F) {
         // Calibrate: grow the batch until it costs ≥ TARGET_BATCH_NANOS.
         let mut iters: u64 = 1;
@@ -196,6 +201,7 @@ impl Harness {
         out.push_str(&format!("  \"suite\": \"{}\",\n", self.suite));
         out.push_str(&format!("  \"samples_per_bench\": {},\n", self.samples));
         out.push_str("  \"unit\": \"ns_per_iter\",\n");
+        out.push_str(&format!("  \"machine\": {},\n", machine_json()));
         if !self.stages.is_empty() {
             out.push_str("  \"stage_breakdown\": [\n");
             for (i, s) in self.stages.iter().enumerate() {
@@ -229,6 +235,27 @@ impl Harness {
     }
 }
 
+/// The capture machine, so a committed number names where it came from:
+/// the cores the OS reports, the `rrs_core::par` pool width the run
+/// used, and the commit checked out (`"unknown"` outside a git tree).
+fn machine_json() -> String {
+    let cores = std::thread::available_parallelism().map_or(0, std::num::NonZeroUsize::get);
+    let commit = std::process::Command::new("git")
+        .args(["rev-parse", "--short", "HEAD"])
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|s| s.trim().to_string())
+        .filter(|s| !s.is_empty())
+        .unwrap_or_else(|| "unknown".to_string());
+    format!(
+        "{{\"available_parallelism\": {cores}, \"pool_threads\": {}, \"commit\": {}}}",
+        rrs_core::par::thread_count(),
+        rrs_core::io::json_string(&commit),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,6 +286,9 @@ mod tests {
         let json = h.to_json();
         assert!(json.contains("\"suite\": \"shape\""));
         assert!(json.contains("\"unit\": \"ns_per_iter\""));
+        assert!(json.contains("\"machine\": {\"available_parallelism\": "));
+        assert!(json.contains("\"pool_threads\": "));
+        assert!(json.contains("\"commit\": \""));
         assert!(json.contains("\"name\": \"noop\""));
         assert!(json.ends_with("]\n}\n"));
     }

@@ -17,6 +17,10 @@ use std::hint::black_box;
 use std::time::Instant;
 
 /// Best-of-N nanoseconds per call for a repeated body.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rrs-bench measures wall time by definition"
+)]
 fn best_ns_per_call<T>(rounds: usize, calls: u32, mut body: impl FnMut() -> T) -> f64 {
     (0..rounds)
         .map(|_| {
@@ -71,6 +75,10 @@ fn disabled_hooks_cost_nanoseconds() {
 }
 
 #[test]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rrs-bench measures wall time by definition"
+)]
 fn disabled_detection_run_is_not_slower_than_traced() {
     let _guard = rrs_obs::trace::tests_lock();
     let workbench = bench_workbench(17);

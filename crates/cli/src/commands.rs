@@ -981,11 +981,11 @@ mod tests {
         let msg = run_ok("lint", &["--root", repo_root]);
         assert!(msg.contains("0 finding(s)"), "{msg}");
 
-        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../lint/fixtures/output");
+        let fixture = concat!(env!("CARGO_MANIFEST_DIR"), "/../lint/fixtures/partial_cmp");
         let err = run("lint", &["--root".into(), fixture.into()])
             .unwrap_err()
             .to_string();
-        assert!(err.contains("[print]"), "{err}");
+        assert!(err.contains("[partial-cmp-unwrap]"), "{err}");
     }
 
     #[test]

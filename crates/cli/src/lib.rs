@@ -17,7 +17,6 @@
 //! without spawning processes.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod args;
 pub mod commands;

@@ -30,9 +30,11 @@
 //! with the `RRS_PROP_CASES` environment variable; `RRS_PROP_SEED` rotates
 //! the suite seed.
 
-// The doctest's `#[test]` is the `props!` grammar itself, not a unit
-// test smuggled into documentation; the example compiles and runs.
-#![allow(clippy::test_attr_in_doctest)]
+#![expect(
+    clippy::test_attr_in_doctest,
+    reason = "the doctest's `#[test]` is the `props!` grammar itself, not a unit test \
+              smuggled into documentation; the example compiles and runs"
+)]
 
 use crate::rng::{RrsRng, Xoshiro256pp};
 use std::fmt::Debug;
@@ -379,6 +381,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "the case counter is shared with the property closure"
+    )]
     fn passing_property_runs_all_cases() {
         use std::sync::atomic::{AtomicU32, Ordering};
         let count = AtomicU32::new(0);

@@ -29,8 +29,18 @@
 //! the caller's open span as its parent.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+#[expect(
+    clippy::disallowed_types,
+    reason = "the deterministic pool hands out work through one atomic index"
+)]
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::Ordering;
+#[expect(
+    clippy::disallowed_types,
+    reason = "the deterministic pool hands out work through one atomic index"
+)]
+use std::sync::Mutex;
+use std::sync::OnceLock;
 
 /// Upper bound applied to the auto-detected core count. Keeps the default
 /// pool modest on many-core machines; raise explicitly via `RRS_THREADS`.
@@ -39,10 +49,18 @@ const DEFAULT_MAX_THREADS: usize = 8;
 /// Process-wide thread-count override installed by [`with_threads`].
 /// Zero means "no override"; reads are relaxed because the value is a
 /// pure tuning knob — results are identical at any thread count.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a tuning knob: results are identical at any thread count"
+)]
 static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Serializes [`with_threads`] callers so concurrent tests cannot
 /// interleave their overrides.
+#[expect(
+    clippy::disallowed_types,
+    reason = "serializes test overrides of a tuning knob"
+)]
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
 /// A worker-context hook: `(capture, install)`, see
@@ -150,6 +168,11 @@ fn override_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 ///
 /// If a worker panics, the panic payload is re-raised on the calling
 /// thread after the remaining workers finish.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the pool itself: scoped workers pull indices from one atomic counter"
+)]
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
@@ -217,6 +240,11 @@ where
 ///
 /// If a worker panics, the panic payload is re-raised on the calling
 /// thread after the remaining workers finish.
+#[expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the pool itself: scoped workers pull indices from one atomic counter"
+)]
 pub fn par_map_owned<T, U, F>(items: Vec<T>, f: F) -> Vec<U>
 where
     T: Send,

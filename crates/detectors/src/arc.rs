@@ -234,7 +234,6 @@ pub fn detect_counts(
 /// Segments the day axis at the peaks and judges each segment against
 /// the ratcheting baseline — shared verbatim by the batch and online
 /// paths so their verdicts are bit-identical.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn judge_counts(
     counts: &[u32],
     day0: Timestamp,

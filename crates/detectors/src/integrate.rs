@@ -290,7 +290,10 @@ impl JointDetector {
 /// `threshold_a = 0.5·m` and `threshold_b = 0.5·m + 0.5` (exactly
 /// [`arc::value_thresholds`]), and the Path-2 mean-deviation adjudicator
 /// uses it as the reference level.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one signature shared by the batch and online paths keeps their verdicts bit-identical"
+)]
 pub(crate) fn integrate_outcomes<F>(
     config: &DetectorConfig,
     timeline: TimelineView<'_>,

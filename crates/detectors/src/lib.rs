@@ -26,7 +26,6 @@
 //! output identical to the batch path (proven by oracle property tests).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod arc;
 mod config;

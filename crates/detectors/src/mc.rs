@@ -211,7 +211,10 @@ where
 /// verbatim by the batch and online paths so their verdicts are
 /// bit-identical. `overall_mean` is the stream's reference level (the
 /// *median* rating value; see the comment inside on why not the mean).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "one signature shared by the batch and online paths keeps their verdicts bit-identical"
+)]
 pub(crate) fn judge_segments<F>(
     timeline: TimelineView<'_>,
     times: &[f64],

@@ -18,7 +18,6 @@
 //! binary); [`report`] renders CSV tables and ASCII scatter plots.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod ablation;
 pub mod boost;

@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 pub fn alpha() -> u32 {
     1
 }

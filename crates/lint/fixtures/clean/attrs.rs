@@ -11,9 +11,9 @@ pub struct Configured {
     pub retries: u8,
 }
 
-#[allow(
+#[expect(
     dead_code,
-    unused_variables
+    reason = "a multi-line attribute"
 )]
 fn helper(level: u8) -> u8 {
     level

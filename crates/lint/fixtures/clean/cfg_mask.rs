@@ -1,5 +1,5 @@
 //! Clean fixture: `#[cfg(test)]` masking hides test-only hazards from
-//! every rule, including the workspace-level determinism sanitizer.
+//! every rule.
 
 pub fn shipped() -> u32 {
     21 * 2

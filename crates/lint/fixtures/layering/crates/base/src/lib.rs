@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 pub fn base_value() -> u32 {
     7
 }

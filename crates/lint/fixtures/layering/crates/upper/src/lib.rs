@@ -1,5 +1,3 @@
-#![forbid(unsafe_code)]
-
 use base::base_value;
 
 pub fn upper_value() -> u32 {

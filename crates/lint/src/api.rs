@@ -289,8 +289,6 @@ mod tests {
     use std::path::PathBuf;
 
     fn model(rel: &str, text: &str) -> FileModel {
-        let scrubbed = Scrubbed::new(text);
-        let items = crate::items::parse(&scrubbed);
         FileModel {
             file: SourceFile {
                 path: PathBuf::from("x.rs"),
@@ -298,9 +296,7 @@ mod tests {
                 crate_name: "rrs-demo".into(),
                 class: FileClass::Lib,
             },
-            scrubbed,
-            items,
-            waivers: Vec::new(),
+            items: crate::items::parse(&Scrubbed::new(text)),
         }
     }
 

@@ -239,7 +239,6 @@ impl Parser<'_> {
 
     /// Parses one item (or recovers by skipping a token), returning
     /// the index just past it.
-    #[allow(clippy::too_many_lines)]
     fn item(&mut self, mut i: usize, end: usize, ctx: &mut Ctx, out: &mut Vec<Item>) -> usize {
         // Attributes: `#[…]` item attrs and `#![…]` inner attrs.
         let mut attrs = String::new();

@@ -5,19 +5,19 @@
 //! top — and the cheapest way to destroy it is one convenient back-edge
 //! (`rrs-core` reaching up into `rrs-eval` to "just read a report").
 //! This pass makes the graph a reviewed artifact: every `Cargo.toml`
-//! `[dependencies]` section plus every cross-crate `use rrs_*` path is
-//! folded into an adjacency list and compared against the committed
-//! `layers.lock`. A new edge, a stale edge, or a cycle is a finding
-//! ([`crate::rules::RULE_LAYERING`]); intentional layering changes are
-//! made by regenerating the lock with `--write-layers-lock` and
-//! defending the diff in review.
+//! `[dependencies]` section is folded into an adjacency list and
+//! compared against the committed `layers.lock`. A new or a stale edge
+//! is a finding ([`crate::rules::RULE_LAYERING`]); intentional layering
+//! changes are made by regenerating the lock with `--write-layers-lock`
+//! and defending the diff in review.
+//!
+//! The manifests are the whole graph: rustc rejects a `use rrs_x` or an
+//! `rrs_x::…` path that has no manifest edge behind it, and Cargo
+//! refuses a dependency cycle.
 
-use crate::items::ItemKind;
 use crate::lexer::is_ident_char;
 use crate::report::Finding;
 use crate::rules::RULE_LAYERING;
-use crate::walk::FileClass;
-use crate::FileModel;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The lock file's name at the workspace root.
@@ -30,12 +30,6 @@ pub type Layers = BTreeMap<String, BTreeSet<String>>;
 #[must_use]
 pub fn package_name(manifest: &str) -> Option<String> {
     section_value(manifest, "[package]", "name")
-}
-
-/// Extracts the `[lib] name` override, if any.
-#[must_use]
-pub fn lib_name(manifest: &str) -> Option<String> {
-    section_value(manifest, "[lib]", "name")
 }
 
 /// Reads `key = "value"` from one `[section]` of TOML-shaped text.
@@ -89,101 +83,37 @@ pub fn manifest_deps(text: &str) -> Vec<String> {
     deps
 }
 
-/// Builds the live dependency graph from manifests and source files.
+/// Builds the live dependency graph from manifests.
 ///
 /// `manifests` holds `(rel, text)` pairs for every discovered
 /// `Cargo.toml`. Crates are the manifests' `[package]` names; edges are
-/// their `[dependencies]` entries naming another member, unioned with
-/// cross-crate paths in source code (`use rrs_core::…` or an inline
-/// `rrs_core::par::par_map(…)` in any non-test file).
+/// their `[dependencies]` entries naming another member.
 #[must_use]
-pub fn actual_graph(manifests: &[(String, String)], models: &[FileModel]) -> Layers {
-    // Member table: lib name (underscored) → package name.
-    let mut members: BTreeMap<String, String> = BTreeMap::new();
-    let mut graph = Layers::new();
-    for (_, text) in manifests {
-        if let Some(pkg) = package_name(text) {
-            let lib = lib_name(text).unwrap_or_else(|| pkg.replace('-', "_"));
-            members.insert(lib, pkg.clone());
-            graph.entry(pkg).or_default();
-        }
-    }
-
-    for (rel, text) in manifests {
-        let Some(pkg) = package_name(text) else {
-            continue;
-        };
-        let _ = rel;
+pub fn actual_graph(manifests: &[(String, String)]) -> Layers {
+    let packages: Vec<(String, &str)> = manifests
+        .iter()
+        .filter_map(|(_, text)| package_name(text).map(|pkg| (pkg, text.as_str())))
+        .collect();
+    let mut graph: Layers = packages
+        .iter()
+        .map(|(pkg, _)| (pkg.clone(), BTreeSet::new()))
+        .collect();
+    for (pkg, text) in &packages {
         for dep in manifest_deps(text) {
-            if dep != pkg && graph.contains_key(&dep) {
+            if &dep != pkg && graph.contains_key(&dep) {
                 graph.entry(pkg.clone()).or_default().insert(dep);
-            }
-        }
-    }
-
-    for model in models {
-        if model.file.class == FileClass::Test {
-            continue;
-        }
-        let from = &model.file.crate_name;
-        if !graph.contains_key(from) {
-            continue;
-        }
-        // Item-model edges: `use` declarations whose first segment is a
-        // member library.
-        for item in &model.items {
-            if item.in_test {
-                continue;
-            }
-            if let ItemKind::Use { path } = &item.kind {
-                let first: String = path.chars().take_while(|&c| is_ident_char(c)).collect();
-                if let Some(pkg) = members.get(&first) {
-                    if pkg != from {
-                        graph.entry(from.clone()).or_default().insert(pkg.clone());
-                    }
-                }
-            }
-        }
-        // Qualified-path edges: `rrs_core::par::…` inline in code.
-        for (idx, line) in model.scrubbed.lines.iter().enumerate() {
-            if model.scrubbed.test_mask.get(idx).copied().unwrap_or(false) {
-                continue;
-            }
-            for (lib, pkg) in &members {
-                if pkg == from {
-                    continue;
-                }
-                if qualifies(line, lib) {
-                    graph.entry(from.clone()).or_default().insert(pkg.clone());
-                }
             }
         }
     }
     graph
 }
 
-/// Does `line` contain the token `lib` immediately followed by `::`?
-fn qualifies(line: &str, lib: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(lib) {
-        let at = start + pos;
-        start = at + lib.len();
-        let before_ok = at == 0 || !line[..at].chars().next_back().is_some_and(is_ident_char);
-        let after = line[at + lib.len()..].trim_start();
-        if before_ok && after.starts_with("::") {
-            return true;
-        }
-    }
-    false
-}
-
 /// The lock-file header comment.
 const HEADER: &str = "\
 # rrs-lint layering lock: the committed crate-dependency DAG, one line
-# per crate (`crate: dep dep …`), unioned from Cargo.toml [dependencies]
-# and cross-crate `use` paths in non-test code. A new edge fails the
-# lint until this file is regenerated with
-# `cargo run -p rrs-lint -- --write-layers-lock`
+# per crate (`crate: dep dep …`), read from each Cargo.toml's
+# [dependencies] table. A new edge fails the lint until this file is
+# regenerated with `cargo run -p rrs-lint -- --write-layers-lock`
 # and the changed layering is defended in review.";
 
 /// Renders the graph in lock format.
@@ -305,63 +235,9 @@ pub fn check(
     findings
 }
 
-/// Finds a dependency cycle in `layers`, returned as the crate path
-/// `a → b → … → a`, or `None` for a DAG.
-#[must_use]
-pub fn find_cycle(layers: &Layers) -> Option<Vec<String>> {
-    #[derive(Clone, Copy, PartialEq)]
-    enum Color {
-        White,
-        Gray,
-        Black,
-    }
-    let mut color: BTreeMap<&str, Color> =
-        layers.keys().map(|k| (k.as_str(), Color::White)).collect();
-    let empty = BTreeSet::new();
-
-    // Iterative DFS; a back-edge to a Gray node closes a cycle.
-    for start in layers.keys() {
-        if color[start.as_str()] != Color::White {
-            continue;
-        }
-        let mut stack: Vec<(&str, std::collections::btree_set::Iter<'_, String>)> =
-            vec![(start.as_str(), layers.get(start).unwrap_or(&empty).iter())];
-        color.insert(start.as_str(), Color::Gray);
-        while let Some((node, iter)) = stack.last_mut() {
-            let node = *node;
-            if let Some(dep) = iter.next() {
-                match color.get(dep.as_str()).copied() {
-                    Some(Color::White) => {
-                        color.insert(dep.as_str(), Color::Gray);
-                        stack.push((dep.as_str(), layers.get(dep).unwrap_or(&empty).iter()));
-                    }
-                    Some(Color::Gray) => {
-                        // Unwind the stack down to the cycle entry.
-                        let mut path: Vec<String> =
-                            stack.iter().map(|(n, _)| (*n).to_string()).collect();
-                        if let Some(first) = path.iter().position(|n| n == dep.as_str()) {
-                            path.drain(..first);
-                        }
-                        path.push(dep.clone());
-                        return Some(path);
-                    }
-                    _ => {}
-                }
-            } else {
-                color.insert(node, Color::Black);
-                stack.pop();
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::Scrubbed;
-    use crate::walk::SourceFile;
-    use std::path::PathBuf;
 
     fn manifest(pkg: &str, deps: &[&str]) -> String {
         let mut text = format!("[package]\nname = \"{pkg}\"\n[dependencies]\n");
@@ -371,29 +247,13 @@ mod tests {
         text
     }
 
-    fn model(crate_name: &str, text: &str) -> FileModel {
-        let scrubbed = Scrubbed::new(text);
-        let items = crate::items::parse(&scrubbed);
-        FileModel {
-            file: SourceFile {
-                path: PathBuf::from("x.rs"),
-                rel: format!("crates/{crate_name}/src/lib.rs"),
-                crate_name: crate_name.into(),
-                class: FileClass::Lib,
-            },
-            scrubbed,
-            items,
-            waivers: Vec::new(),
-        }
-    }
-
     #[test]
     fn manifest_edges_build_the_graph() {
         let manifests = vec![
             ("a/Cargo.toml".to_string(), manifest("a", &[])),
             ("b/Cargo.toml".to_string(), manifest("b", &["a"])),
         ];
-        let graph = actual_graph(&manifests, &[]);
+        let graph = actual_graph(&manifests);
         assert_eq!(graph["a"], BTreeSet::new());
         assert_eq!(graph["b"], BTreeSet::from(["a".to_string()]));
     }
@@ -405,39 +265,8 @@ mod tests {
             ("a/Cargo.toml".to_string(), text.to_string()),
             ("b/Cargo.toml".to_string(), manifest("b", &[])),
         ];
-        let graph = actual_graph(&manifests, &[]);
+        let graph = actual_graph(&manifests);
         assert!(graph["a"].is_empty(), "{graph:?}");
-    }
-
-    #[test]
-    fn use_paths_and_qualified_calls_are_edges() {
-        let manifests = vec![
-            ("a/Cargo.toml".to_string(), manifest("rrs-a", &[])),
-            ("b/Cargo.toml".to_string(), manifest("rrs-b", &[])),
-            ("c/Cargo.toml".to_string(), manifest("rrs-c", &[])),
-        ];
-        let models = vec![
-            model("rrs-b", "use rrs_a::thing;\n"),
-            model("rrs-c", "pub fn f() -> u32 { rrs_a::thing() }\n"),
-        ];
-        let graph = actual_graph(&manifests, &models);
-        assert_eq!(graph["rrs-b"], BTreeSet::from(["rrs-a".to_string()]));
-        assert_eq!(graph["rrs-c"], BTreeSet::from(["rrs-a".to_string()]));
-        assert!(graph["rrs-a"].is_empty());
-    }
-
-    #[test]
-    fn test_code_does_not_create_edges() {
-        let manifests = vec![
-            ("a/Cargo.toml".to_string(), manifest("rrs-a", &[])),
-            ("b/Cargo.toml".to_string(), manifest("rrs-b", &[])),
-        ];
-        let models = vec![model(
-            "rrs-b",
-            "#[cfg(test)]\nmod tests {\n    use rrs_a::oracle;\n}\n",
-        )];
-        let graph = actual_graph(&manifests, &models);
-        assert!(graph["rrs-b"].is_empty(), "{graph:?}");
     }
 
     #[test]
@@ -469,15 +298,6 @@ mod tests {
             f[0].message
         );
         assert_eq!(f[0].file, "layers.lock");
-    }
-
-    #[test]
-    fn cycles_are_detected_with_their_path() {
-        let layers = parse_lock("a: b\nb: c\nc: a\n").unwrap();
-        let cycle = find_cycle(&layers).expect("cycle found");
-        assert_eq!(cycle.len(), 4, "{cycle:?}");
-        assert_eq!(cycle.first(), cycle.last());
-        assert!(find_cycle(&parse_lock("a: b\nb:\n").unwrap()).is_none());
     }
 
     #[test]

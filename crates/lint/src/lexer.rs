@@ -518,7 +518,7 @@ fn real() {}";
 
     #[test]
     fn cfg_test_skips_interleaved_attributes() {
-        let src = "#[cfg(test)]\n#[allow(dead_code)]\nmod tests {\n fn t() {}\n}\nfn real() {}";
+        let src = "#[cfg(test)]\n#[expect(dead_code)]\nmod tests {\n fn t() {}\n}\nfn real() {}";
         let m = Scrubbed::new(src).test_mask;
         assert_eq!(m, vec![true, true, true, true, true, false]);
     }

@@ -1,49 +1,45 @@
-//! # rrs-lint — static enforcement of the workspace's invariants
+//! # rrs-lint — static checks no stock tool can make
 //!
-//! A zero-dependency static analysis pass that keeps the properties
-//! the reproduction's verdicts depend on from rotting:
+//! A zero-dependency static analysis pass for the workspace invariants
+//! that rustc, clippy and Cargo cannot express. Wall clocks, threads,
+//! hashed collections, shared mutable state, raw prints and `unsafe`
+//! are banned by the root `clippy.toml` and `[workspace.lints]` table
+//! instead (DESIGN.md §8 maps every check to its home). What stays here:
 //!
-//! * **Determinism** — no wall-clock reads ([`rules::RULE_WALLCLOCK`])
-//!   or ambient entropy ([`rules::RULE_ENTROPY`]) outside their
-//!   sanctioned homes, and no randomized-iteration-order collections
-//!   in result-producing crates ([`rules::RULE_DEFAULT_HASHER`]). The
-//!   golden trace tests and `EXPERIMENTS.md` verdicts compare exact
-//!   numeric outcomes; a stray `HashMap` iteration breaks them
-//!   silently.
 //! * **Numeric safety** — exact float-literal comparisons
 //!   ([`rules::RULE_FLOAT_EQ`]) and NaN-panicking
 //!   `partial_cmp().unwrap()` chains ([`rules::RULE_PARTIAL_CMP`]),
 //!   steering to `total_cmp`.
+//! * **Determinism** — no `Ordering::Relaxed` loads in result-producing
+//!   crates ([`rules::RULE_RELAXED`]).
 //! * **Robustness budgets** — per-crate `unwrap`/`expect`/`panic!`
 //!   counts in non-test library code, ratcheted downward through the
 //!   committed `lint.lock` ([`budget`]).
-//! * **Output discipline** — all terminal output flows through the
-//!   `rrs-obs` logger ([`rules::RULE_PRINT`]).
-//! * **Hermeticity** — every manifest stays free of external
-//!   dependencies ([`manifest`]), and every library root carries
-//!   `#![forbid(unsafe_code)]` ([`rules::RULE_FORBID_UNSAFE`]).
+//! * **Observability** — metric names are dotted snake_case constants
+//!   ([`rules::RULE_METRIC_NAME`]).
+//! * **Architecture** — the `Cargo.toml` dependency DAG matches
+//!   `layers.lock` ([`layers`]), and every crate's public surface
+//!   matches `api.lock` ([`api`]).
 //!
 //! Run it as `cargo run -p rrs-lint` or `rrs lint`; findings are also
 //! exportable as machine-readable JSONL. Individual sites are waived
-//! in-source with `// lint:allow(rule): justification`.
+//! in-source with `// lint:allow(rule): justification`; a waiver without
+//! a reason, or one that shields nothing, is itself a finding.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod api;
 pub mod budget;
-pub mod determinism;
 pub mod items;
 pub mod layers;
 pub mod lexer;
-pub mod manifest;
 pub mod report;
 pub mod rules;
 pub mod walk;
 
 use budget::Budgets;
 use report::{Finding, Report};
-use rules::{Config, RULE_FORBID_UNSAFE};
+use rules::Config;
 use std::collections::BTreeMap;
 use std::fs;
 use std::io;
@@ -52,21 +48,14 @@ use std::path::Path;
 /// The lock file's name at the workspace root.
 pub const LOCK_FILE: &str = "lint.lock";
 
-/// One source file's full analysis state: the scrubbed text, the item
-/// model parsed from it, and the waivers the per-line rules have not
-/// yet consumed. The workspace passes ([`determinism`], [`layers`],
-/// [`api`]) all read from this shared view so each file is lexed and
-/// parsed exactly once.
+/// One source file and the item model parsed from it, which the
+/// [`api`] pass reads so each file is lexed and parsed exactly once.
 #[derive(Debug)]
 pub struct FileModel {
     /// The discovered source file.
     pub file: walk::SourceFile,
-    /// The scrubbed (comment/literal-blanked) text.
-    pub scrubbed: lexer::Scrubbed,
     /// Declarations parsed by the item model.
     pub items: Vec<items::Item>,
-    /// `lint:allow` waivers with their consumption state.
-    pub waivers: Vec<rules::Waiver>,
 }
 
 /// Scans the tree under `config.root` and returns the full report.
@@ -92,29 +81,15 @@ pub fn scan(config: &Config) -> io::Result<Report> {
         entry.unwrap += scanned.panic_sites.unwrap;
         entry.expect += scanned.panic_sites.expect;
         entry.panic += scanned.panic_sites.panic;
-        if ws.lib_roots.contains(&file.rel) && !scanned.has_forbid_unsafe {
-            findings.push(Finding {
-                rule: RULE_FORBID_UNSAFE,
-                file: file.rel.clone(),
-                line: 0,
-                crate_name: file.crate_name.clone(),
-                message: "library root is missing `#![forbid(unsafe_code)]`".to_string(),
-            });
-        }
-        let items = items::parse(&scanned.scrubbed);
         models.push(FileModel {
             file: file.clone(),
-            scrubbed: scanned.scrubbed,
-            items,
-            waivers: scanned.waivers,
+            items: items::parse(&scanned.scrubbed),
         });
     }
 
     let mut manifest_texts: Vec<(String, String)> = Vec::with_capacity(ws.manifests.len());
     for m in &ws.manifests {
-        let text = fs::read_to_string(&m.path)?;
-        findings.extend(manifest::audit(&m.rel, &text));
-        manifest_texts.push((m.rel.clone(), text));
+        manifest_texts.push((m.rel.clone(), fs::read_to_string(&m.path)?));
     }
 
     let lock_path = config.root.join(LOCK_FILE);
@@ -141,59 +116,43 @@ pub fn scan(config: &Config) -> io::Result<Report> {
         });
     }
 
-    // Workspace pass 1: the determinism sanitizer.
-    determinism::run(config, &mut models, &mut findings);
-
-    // Workspace pass 2: the layering DAG against layers.lock.
-    let actual_layers = layers::actual_graph(&manifest_texts, &models);
+    // Workspace pass 1: the manifest DAG against layers.lock.
+    let actual_layers = layers::actual_graph(&manifest_texts);
     let layers_path = config.root.join(layers::LAYERS_FILE);
-    if ws.is_workspace || layers_path.is_file() {
-        if let Some(cycle) = layers::find_cycle(&actual_layers) {
-            findings.push(Finding {
-                rule: rules::RULE_LAYERING,
-                file: layers::LAYERS_FILE.to_string(),
-                line: 0,
-                crate_name: cycle.first().cloned().unwrap_or_default(),
-                message: format!("dependency cycle: {}", cycle.join(" → ")),
-            });
-        }
-        if layers_path.is_file() {
-            let manifest_of: BTreeMap<String, String> = manifest_texts
-                .iter()
-                .filter_map(|(rel, text)| {
-                    layers::package_name(text).map(|name| (name, rel.clone()))
-                })
-                .collect();
-            let text = fs::read_to_string(&layers_path)?;
-            match layers::parse_lock(&text) {
-                Ok(locked) => findings.extend(layers::check(
-                    layers::LAYERS_FILE,
-                    &locked,
-                    &actual_layers,
-                    &manifest_of,
-                )),
-                Err(e) => findings.push(Finding {
-                    rule: rules::RULE_LAYERING,
-                    file: layers::LAYERS_FILE.to_string(),
-                    line: 0,
-                    crate_name: String::new(),
-                    message: format!("malformed lock file: {e}"),
-                }),
-            }
-        } else {
-            findings.push(Finding {
+    if layers_path.is_file() {
+        let manifest_of: BTreeMap<String, String> = manifest_texts
+            .iter()
+            .filter_map(|(rel, text)| layers::package_name(text).map(|name| (name, rel.clone())))
+            .collect();
+        let text = fs::read_to_string(&layers_path)?;
+        match layers::parse_lock(&text) {
+            Ok(locked) => findings.extend(layers::check(
+                layers::LAYERS_FILE,
+                &locked,
+                &actual_layers,
+                &manifest_of,
+            )),
+            Err(e) => findings.push(Finding {
                 rule: rules::RULE_LAYERING,
                 file: layers::LAYERS_FILE.to_string(),
                 line: 0,
                 crate_name: String::new(),
-                message: "missing layers.lock at the workspace root — generate it with \
-                          --write-layers-lock"
-                    .to_string(),
-            });
+                message: format!("malformed lock file: {e}"),
+            }),
         }
+    } else if ws.is_workspace {
+        findings.push(Finding {
+            rule: rules::RULE_LAYERING,
+            file: layers::LAYERS_FILE.to_string(),
+            line: 0,
+            crate_name: String::new(),
+            message: "missing layers.lock at the workspace root — generate it with \
+                      --write-layers-lock"
+                .to_string(),
+        });
     }
 
-    // Workspace pass 3: the public-API surface against api.lock.
+    // Workspace pass 2: the public-API surface against api.lock.
     let surface = api::surface(&models);
     let api_path = config.root.join(api::API_FILE);
     if api_path.is_file() {
@@ -219,26 +178,6 @@ pub fn scan(config: &Config) -> io::Result<Report> {
         });
     }
 
-    // Every waiver must shield something: a stale directive is noise
-    // that silently re-arms the next real violation on its line.
-    for model in &models {
-        for w in &model.waivers {
-            if !w.used {
-                findings.push(Finding {
-                    rule: rules::RULE_UNUSED_ALLOW,
-                    file: model.file.rel.clone(),
-                    line: w.directive_line,
-                    crate_name: model.file.crate_name.clone(),
-                    message: format!(
-                        "lint:allow({}) waives nothing — the finding it shielded \
-                         is gone; remove the stale directive",
-                        w.rule
-                    ),
-                });
-            }
-        }
-    }
-
     findings.sort_by(|a, b| {
         a.file
             .cmp(&b.file)
@@ -251,7 +190,6 @@ pub fn scan(config: &Config) -> io::Result<Report> {
         findings,
         budgets,
         files_scanned: ws.sources.len(),
-        manifests_audited: ws.manifests.len(),
         layers: actual_layers,
         api: api::to_map(&surface),
     })
@@ -283,10 +221,8 @@ pub fn scan_and_write_lock(config: &Config) -> io::Result<Report> {
 }
 
 /// Scans and rewrites `layers.lock` with the live dependency graph.
-/// There is no ratchet direction here — both added and removed edges
-/// are architecture changes that land as reviewed lock diffs — but a
-/// dependency *cycle* still blocks: it survives as a finding in the
-/// returned report no matter what the lock says.
+/// There is no ratchet direction here: both added and removed edges
+/// are architecture changes that land as reviewed lock diffs.
 ///
 /// # Errors
 ///

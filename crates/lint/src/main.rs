@@ -44,8 +44,9 @@ fn main() -> ExitCode {
                 rrs_info!(
                     "usage: rrs-lint [--root DIR] [--jsonl FILE] [--write-lock]\n\
                      \u{20}        [--write-layers-lock] [--write-api-lock] [--quiet]\n\
-                     Scans the tree for determinism/robustness violations and checks\n\
-                     the committed layering DAG (layers.lock) and public-API surface\n\
+                     Scans the tree for the checks clippy cannot make (float compares,\n\
+                     relaxed atomics, metric names, panic budgets) and checks the\n\
+                     committed layering DAG (layers.lock) and public-API surface\n\
                      (api.lock); see DESIGN.md §8 and §12."
                 );
                 return ExitCode::SUCCESS;
@@ -94,11 +95,9 @@ fn main() -> ExitCode {
             "wrote {}",
             root.join(rrs_lint::layers::LAYERS_FILE).display()
         );
-        // The rewritten lock resolves drift findings, but a dependency
-        // cycle is unlockable and must keep failing.
         report
             .findings
-            .retain(|f| f.rule != rrs_lint::rules::RULE_LAYERING || f.message.contains("cycle"));
+            .retain(|f| f.rule != rrs_lint::rules::RULE_LAYERING);
     }
     if write_api {
         rrs_info!("wrote {}", root.join(rrs_lint::api::API_FILE).display());

@@ -56,8 +56,6 @@ pub struct Report {
     pub budgets: Budgets,
     /// Number of Rust sources scanned.
     pub files_scanned: usize,
-    /// Number of manifests audited.
-    pub manifests_audited: usize,
     /// The live crate-dependency graph ([`crate::layers`]).
     pub layers: crate::layers::Layers,
     /// The live public-API surface per crate ([`crate::api`]).
@@ -96,9 +94,9 @@ impl Report {
         }
         let _ = write!(
             out,
-            "rrs-lint: {} file(s), {} manifest(s), {} finding(s)",
+            "rrs-lint: {} file(s), {} crate(s), {} finding(s)",
             self.files_scanned,
-            self.manifests_audited,
+            self.layers.len(),
             self.findings.len()
         );
         out
@@ -134,7 +132,6 @@ mod tests {
             findings: vec![finding(), finding()],
             budgets: Budgets::new(),
             files_scanned: 1,
-            manifests_audited: 1,
             layers: crate::layers::Layers::new(),
             api: crate::api::Surface::new(),
         };
@@ -147,12 +144,11 @@ mod tests {
             findings: vec![finding()],
             budgets: Budgets::new(),
             files_scanned: 3,
-            manifests_audited: 2,
-            layers: crate::layers::Layers::new(),
+            layers: crate::layers::parse_lock("a:\nb: a\n").unwrap(),
             api: crate::api::Surface::new(),
         };
         let text = report.render();
         assert!(text.contains("crates/x/src/lib.rs:7: [float-eq]"));
-        assert!(text.contains("3 file(s), 2 manifest(s), 1 finding(s)"));
+        assert!(text.contains("3 file(s), 2 crate(s), 1 finding(s)"));
     }
 }

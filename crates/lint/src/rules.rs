@@ -19,39 +19,20 @@ use crate::report::Finding;
 use crate::walk::{FileClass, SourceFile};
 use std::path::PathBuf;
 
-/// Determinism: wall-clock reads outside the observability/bench crates.
-pub const RULE_WALLCLOCK: &str = "wallclock";
-/// Determinism: iteration-order-unstable default-hasher collections.
-pub const RULE_DEFAULT_HASHER: &str = "default-hasher";
-/// Determinism: ambient entropy sources outside `rrs_core::rng`.
-pub const RULE_ENTROPY: &str = "entropy";
 /// Numeric safety: exact `==`/`!=` against floating-point literals.
 pub const RULE_FLOAT_EQ: &str = "float-eq";
 /// Numeric safety: NaN-panicking `partial_cmp().unwrap()` chains.
 pub const RULE_PARTIAL_CMP: &str = "partial-cmp-unwrap";
-/// Output discipline: raw stdout/stderr writes outside the logger.
-pub const RULE_PRINT: &str = "print";
-/// Determinism: raw thread spawns outside the `rrs_core::par` pool.
-pub const RULE_THREAD: &str = "thread-spawn";
-/// Robustness: missing `#![forbid(unsafe_code)]` on a library root.
-pub const RULE_FORBID_UNSAFE: &str = "forbid-unsafe";
 /// Robustness: per-crate panic-site budgets (see `lint.lock`).
 pub const RULE_BUDGET: &str = "budget";
-/// Hermeticity: non-path dependencies in a manifest.
-pub const RULE_MANIFEST: &str = "manifest";
 /// Observability: metric names must be dotted snake_case constants.
 pub const RULE_METRIC_NAME: &str = "metric-name";
 /// A `lint:allow` directive without a justification.
 pub const RULE_BAD_ALLOW: &str = "allow-missing-reason";
 /// A `lint:allow` directive that shields no finding.
 pub const RULE_UNUSED_ALLOW: &str = "unused-allow";
-/// Determinism: shared-mutable-state primitives outside sanctioned
-/// concurrency sites ([`crate::determinism`]).
-pub const RULE_SYNC: &str = "sync-primitive";
 /// Determinism: `Ordering::Relaxed` loads in result-producing crates.
 pub const RULE_RELAXED: &str = "relaxed-ordering";
-/// Determinism: iteration over default-hasher collections.
-pub const RULE_HASH_ITER: &str = "hash-iteration";
 /// Architecture: the crate-dependency DAG must match `layers.lock`
 /// ([`crate::layers`]).
 pub const RULE_LAYERING: &str = "layering";
@@ -61,40 +42,23 @@ pub const RULE_API: &str = "api-surface";
 
 /// All waivable rule identifiers (`lint:allow(...)` targets).
 pub const WAIVABLE: &[&str] = &[
-    RULE_WALLCLOCK,
-    RULE_DEFAULT_HASHER,
-    RULE_ENTROPY,
     RULE_FLOAT_EQ,
     RULE_PARTIAL_CMP,
-    RULE_PRINT,
-    RULE_THREAD,
     RULE_METRIC_NAME,
-    RULE_SYNC,
     RULE_RELAXED,
-    RULE_HASH_ITER,
 ];
 
-/// Scanner configuration: the scoping tables for every rule.
+/// Scanner configuration: which crates produce results, and which
+/// files may use relaxed atomics anyway.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// Tree to scan.
     pub root: PathBuf,
-    /// Crates allowed to read wall clocks (`Instant`/`SystemTime`).
-    pub wallclock_allowed_crates: Vec<String>,
-    /// Result-producing crates where default-hasher collections are
-    /// banned. `*` means every crate.
-    pub hashed_denied_crates: Vec<String>,
-    /// Files (root-relative) allowed to print, with a justification
-    /// that the report echoes.
-    pub print_allowed_files: Vec<(String, String)>,
-    /// Files allowed to define entropy primitives.
-    pub entropy_allowed_files: Vec<String>,
-    /// Files (root-relative) allowed to spawn threads directly.
-    pub thread_allowed_files: Vec<String>,
-    /// Crates allowed to hold shared mutable state (sync primitives).
-    pub sync_allowed_crates: Vec<String>,
-    /// Files (root-relative) allowed to hold shared mutable state.
-    pub sync_allowed_files: Vec<String>,
+    /// Result-producing crates, where `Ordering::Relaxed` is banned.
+    /// `*` means every crate.
+    pub result_crates: Vec<String>,
+    /// Files (root-relative) exempt from the relaxed-ordering rule.
+    pub relaxed_allowed_files: Vec<String>,
 }
 
 impl Config {
@@ -103,11 +67,7 @@ impl Config {
     pub fn workspace(root: PathBuf) -> Self {
         Config {
             root,
-            // rrs-obs owns spans (timing is its purpose); rrs-bench
-            // measures wall time by definition. Everything else must
-            // be a pure function of its inputs and seeds.
-            wallclock_allowed_crates: vec!["rrs-obs".into(), "rrs-bench".into()],
-            hashed_denied_crates: vec![
+            result_crates: vec![
                 "rrs".into(),
                 "rrs-core".into(),
                 "rrs-signal".into(),
@@ -119,62 +79,46 @@ impl Config {
                 "rrs-eval".into(),
                 "rrs-serve".into(),
             ],
-            print_allowed_files: vec![(
-                "crates/obs/src/log.rs".into(),
-                "the logger's terminal sink — every other crate goes through it".into(),
-            )],
-            entropy_allowed_files: vec!["crates/core/src/rng.rs".into()],
-            // The deterministic pool is the only place threads may be
-            // born: RRS_THREADS=1 must recover the exact serial run.
-            thread_allowed_files: vec!["crates/core/src/par.rs".into()],
-            // Shared mutable state lives in exactly three places: the
-            // observability sinks (rrs-obs), the thread pool, and the
-            // deterministic-assertion counters in check.rs. Everything
-            // else flows data through `par_map` return values.
-            sync_allowed_crates: vec!["rrs-obs".into()],
-            sync_allowed_files: vec![
+            // The pool's work index and the property harness's case
+            // counter are the sanctioned atomics in a result crate.
+            relaxed_allowed_files: vec![
                 "crates/core/src/par.rs".into(),
                 "crates/core/src/check.rs".into(),
             ],
         }
     }
 
-    /// Maximal strictness for bare directories (lint fixtures): no
-    /// crate or file is exempt from anything.
+    /// Maximal strictness for bare directories (lint fixtures): every
+    /// crate produces results and no file is exempt.
     #[must_use]
     pub fn bare(root: PathBuf) -> Self {
         Config {
             root,
-            wallclock_allowed_crates: Vec::new(),
-            hashed_denied_crates: vec!["*".into()],
-            print_allowed_files: Vec::new(),
-            entropy_allowed_files: Vec::new(),
-            thread_allowed_files: Vec::new(),
-            sync_allowed_crates: Vec::new(),
-            sync_allowed_files: Vec::new(),
+            result_crates: vec!["*".into()],
+            relaxed_allowed_files: Vec::new(),
         }
     }
 }
 
 /// A parsed `lint:allow(rule): reason` directive, with the consumption
-/// state the unused-waiver sweep inspects after every pass has run.
+/// state the unused-waiver sweep inspects after every rule has run.
 #[derive(Debug, Clone)]
-pub struct Waiver {
+struct Waiver {
     /// 0-based line the waiver applies to.
-    pub target: usize,
+    target: usize,
     /// 1-based line of the directive itself, for unused-waiver reports.
-    pub directive_line: usize,
+    directive_line: usize,
     /// The rule identifier being waived.
-    pub rule: String,
+    rule: String,
     /// Whether any finding has consumed this waiver.
-    pub used: bool,
+    used: bool,
 }
 
 /// Extracts waivers (and malformed-directive findings) from the
 /// non-doc comment text of each line. Directives live in comments;
 /// string literals and doc prose that merely mention the syntax are
 /// not directives.
-pub(crate) fn parse_waivers(file: &SourceFile, scrubbed: &Scrubbed) -> (Vec<Waiver>, Vec<Finding>) {
+fn parse_waivers(file: &SourceFile, scrubbed: &Scrubbed) -> (Vec<Waiver>, Vec<Finding>) {
     let mut waivers = Vec::new();
     let mut findings = Vec::new();
     for (idx, comment) in scrubbed.comments.iter().enumerate() {
@@ -248,35 +192,8 @@ pub struct FileScan {
     pub findings: Vec<Finding>,
     /// Panic-site totals over non-test library lines.
     pub panic_sites: PanicSites,
-    /// Whether a scrubbed `#![forbid(unsafe_code)]` is present.
-    pub has_forbid_unsafe: bool,
-    /// The scrubbed view, handed on to the workspace passes.
+    /// The scrubbed view, handed on to the item model.
     pub scrubbed: Scrubbed,
-    /// Parsed waivers with their per-line consumption state; the
-    /// workspace passes consume more of them, and whatever is left
-    /// unused at the end becomes [`RULE_UNUSED_ALLOW`] findings.
-    pub waivers: Vec<Waiver>,
-}
-
-/// Emits a finding for `rule` at 1-based `lineno`, unless an unused
-/// waiver for that (line, rule) pair absorbs it. Shared by the line
-/// rules and every workspace pass so waiver semantics stay identical.
-pub(crate) fn emit_waivable(
-    file: &SourceFile,
-    waivers: &mut [Waiver],
-    findings: &mut Vec<Finding>,
-    rule: &'static str,
-    lineno: usize,
-    message: String,
-) {
-    if let Some(w) = waivers
-        .iter_mut()
-        .find(|w| w.target + 1 == lineno && w.rule == rule && !w.used)
-    {
-        w.used = true;
-        return;
-    }
-    findings.push(Finding::new(rule, file, lineno, message));
 }
 
 /// Scans one file's text against every line rule.
@@ -289,19 +206,11 @@ pub fn scan_file(config: &Config, file: &SourceFile, text: &str) -> FileScan {
     // scrubber replaces characters one for one.
     let raw_lines: Vec<&str> = text.split('\n').collect();
 
-    let wallclock_scoped = !config.wallclock_allowed_crates.contains(&file.crate_name)
-        && file.class != FileClass::Test;
-    let hasher_scoped = (config.hashed_denied_crates.iter().any(|c| c == "*")
-        || config.hashed_denied_crates.contains(&file.crate_name))
-        && file.class != FileClass::Test;
-    let entropy_scoped = !config.entropy_allowed_files.contains(&file.rel);
-    let thread_scoped = !config.thread_allowed_files.contains(&file.rel);
-    let print_allowed = config
-        .print_allowed_files
-        .iter()
-        .any(|(rel, _)| rel == &file.rel);
-    let print_scoped = !print_allowed && file.class != FileClass::Test;
-    let metric_scoped = file.class != FileClass::Test;
+    let not_test = file.class != FileClass::Test;
+    let relaxed_scoped = not_test
+        && (config.result_crates.iter().any(|c| c == "*")
+            || config.result_crates.contains(&file.crate_name))
+        && !config.relaxed_allowed_files.contains(&file.rel);
 
     let mut panic_sites = PanicSites::default();
 
@@ -309,66 +218,17 @@ pub fn scan_file(config: &Config, file: &SourceFile, text: &str) -> FileScan {
         let in_test = scrubbed.test_mask.get(idx).copied().unwrap_or(false);
         let lineno = idx + 1;
         let mut emit = |rule: &'static str, message: String| {
-            emit_waivable(file, &mut waivers, &mut findings, rule, lineno, message);
+            // An unused waiver for this (line, rule) pair absorbs the finding.
+            match waivers
+                .iter_mut()
+                .find(|w| w.target + 1 == lineno && w.rule == rule && !w.used)
+            {
+                Some(w) => w.used = true,
+                None => findings.push(Finding::new(rule, file, lineno, message)),
+            }
         };
 
         if !in_test {
-            if wallclock_scoped {
-                for tok in ["Instant", "SystemTime"] {
-                    if has_token(line, tok) {
-                        emit(
-                            RULE_WALLCLOCK,
-                            format!(
-                                "`{tok}` read outside the observability/bench crates — \
-                                 detection must be a pure function of the dataset and seed"
-                            ),
-                        );
-                    }
-                }
-            }
-            if hasher_scoped {
-                for tok in ["HashMap", "HashSet"] {
-                    if has_token(line, tok) {
-                        emit(
-                            RULE_DEFAULT_HASHER,
-                            format!(
-                                "`{tok}` iterates in randomized order in a result-producing \
-                                 crate — use `BTreeMap`/`BTreeSet` (or an explicit \
-                                 deterministic hasher)"
-                            ),
-                        );
-                    }
-                }
-            }
-            if entropy_scoped {
-                for tok in [
-                    "thread_rng",
-                    "from_entropy",
-                    "OsRng",
-                    "getrandom",
-                    "RandomState",
-                    "DefaultHasher",
-                ] {
-                    if has_token(line, tok) {
-                        emit(
-                            RULE_ENTROPY,
-                            format!(
-                                "`{tok}` draws ambient entropy — all randomness flows from \
-                                 seeded `rrs_core::rng` generators"
-                            ),
-                        );
-                    }
-                }
-            }
-            if thread_scoped && has_token(line, "spawn") {
-                emit(
-                    RULE_THREAD,
-                    "raw thread spawn outside `rrs_core::par` — all parallelism \
-                     goes through the deterministic pool so `RRS_THREADS=1` \
-                     recovers the exact serial run"
-                        .to_string(),
-                );
-            }
             if let Some(op) = float_literal_comparison(line) {
                 emit(
                     RULE_FLOAT_EQ,
@@ -393,21 +253,17 @@ pub fn scan_file(config: &Config, file: &SourceFile, text: &str) -> FileScan {
                     );
                 }
             }
-            if print_scoped {
-                for tok in ["println!", "eprintln!", "print!", "eprint!", "dbg!"] {
-                    if has_token(line, tok) {
-                        emit(
-                            RULE_PRINT,
-                            format!(
-                                "raw `{tok}` bypasses the `rrs-obs` logger — use \
-                                 `rrs_info!`/`rrs_error!` (or add this file to the print \
-                                 allowlist with a justification)"
-                            ),
-                        );
-                    }
-                }
+            if relaxed_scoped && squeeze(line).contains("Ordering::Relaxed") {
+                emit(
+                    RULE_RELAXED,
+                    "`Ordering::Relaxed` read in a result-producing crate — a relaxed \
+                     load may observe stale values, so anything downstream of it can \
+                     differ between runs; use the `rrs_core::par` substrate, or a \
+                     stronger ordering inside a sanctioned file"
+                        .to_string(),
+                );
             }
-            if metric_scoped {
+            if not_test {
                 let raw = raw_lines.get(idx).copied().unwrap_or("");
                 if let Some(tok) = inline_metric_call(line, raw) {
                     emit(
@@ -438,35 +294,26 @@ pub fn scan_file(config: &Config, file: &SourceFile, text: &str) -> FileScan {
         }
     }
 
-    let has_forbid_unsafe = scrubbed
-        .lines
-        .iter()
-        .any(|l| squeeze(l).contains("#![forbid(unsafe_code)]"));
+    // Every waiver must shield something: a stale directive is noise
+    // that silently re-arms the next real violation on its line.
+    for w in waivers.iter().filter(|w| !w.used) {
+        findings.push(Finding::new(
+            RULE_UNUSED_ALLOW,
+            file,
+            w.directive_line,
+            format!(
+                "lint:allow({}) waives nothing — the finding it shielded \
+                 is gone; remove the stale directive",
+                w.rule
+            ),
+        ));
+    }
 
     FileScan {
         findings,
         panic_sites,
-        has_forbid_unsafe,
         scrubbed,
-        waivers,
     }
-}
-
-/// Does `tok` occur in `line` delimited by non-identifier characters?
-fn has_token(line: &str, tok: &str) -> bool {
-    let mut start = 0;
-    while let Some(pos) = line[start..].find(tok) {
-        let at = start + pos;
-        let before_ok = at == 0 || !is_ident_char(line[..at].chars().next_back().unwrap_or(' '));
-        let after = line[at + tok.len()..].chars().next();
-        // Macro tokens end in `!`, which is its own boundary.
-        let after_ok = tok.ends_with('!') || !after.is_some_and(is_ident_char);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = at + tok.len();
-    }
-    false
 }
 
 /// Counts plain substring occurrences (used for method-call patterns
@@ -671,7 +518,7 @@ fn valid_metric_name(name: &str) -> bool {
 }
 
 /// Removes all whitespace (attribute matching helper).
-pub(crate) fn squeeze(s: &str) -> String {
+fn squeeze(s: &str) -> String {
     s.chars().filter(|c| !c.is_whitespace()).collect()
 }
 
@@ -697,24 +544,8 @@ mod tests {
     }
 
     #[test]
-    fn flags_wallclock_and_hashmap_and_entropy() {
-        let s =
-            scan("use std::time::Instant;\nlet m: HashMap<u8, u8> = f();\nlet r = thread_rng();");
-        assert_eq!(
-            rules(&s),
-            vec![RULE_WALLCLOCK, RULE_DEFAULT_HASHER, RULE_ENTROPY]
-        );
-    }
-
-    #[test]
     fn ignores_tokens_in_strings_and_comments() {
-        let s = scan("let a = \"HashMap Instant println!\"; // SystemTime dbg!\n");
-        assert!(s.findings.is_empty(), "{:?}", s.findings);
-    }
-
-    #[test]
-    fn ignores_prefixed_identifiers() {
-        let s = scan("struct MyHashMap; let x = InstantReplay::new();");
+        let s = scan("let a = \"x == 0.0 Ordering::Relaxed\"; // a.partial_cmp(b).unwrap()\n");
         assert!(s.findings.is_empty(), "{:?}", s.findings);
     }
 
@@ -746,28 +577,12 @@ mod tests {
     }
 
     #[test]
-    fn flags_raw_thread_spawns() {
-        let s = scan("let h = std::thread::spawn(|| work());");
-        assert_eq!(rules(&s), vec![RULE_THREAD]);
-        let s = scan("scope.spawn(|| work());");
-        assert_eq!(rules(&s), vec![RULE_THREAD]);
-        // Prefixed identifiers and comments/strings stay silent.
-        let s = scan("fn respawn() {} // thread::spawn bait\nlet m = \"spawn\";");
+    fn relaxed_ordering_is_flagged_in_result_crates() {
+        let s = scan("let v = counter.load(Ordering::Relaxed);");
+        assert_eq!(rules(&s), vec![RULE_RELAXED]);
+        // `std::cmp::Ordering` in sort code never matches.
+        let s = scan("let o = a.cmp(&b); matches!(o, Ordering::Less);");
         assert!(s.findings.is_empty(), "{:?}", s.findings);
-    }
-
-    #[test]
-    fn thread_spawn_allowed_in_listed_files() {
-        let mut config = Config::bare(PathBuf::from("."));
-        config.thread_allowed_files.push("x.rs".into());
-        let s = scan_file(&config, &lib_file(), "scope.spawn(|| work());");
-        assert!(s.findings.is_empty(), "{:?}", s.findings);
-    }
-
-    #[test]
-    fn flags_raw_prints() {
-        let s = scan("println!(\"hello\");\ndbg!(x);");
-        assert_eq!(rules(&s), vec![RULE_PRINT, RULE_PRINT]);
     }
 
     #[test]
@@ -850,15 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn forbid_unsafe_attribute_is_detected() {
-        assert!(scan("#![forbid(unsafe_code)]\nfn f() {}").has_forbid_unsafe);
-        assert!(scan("#![forbid( unsafe_code )]").has_forbid_unsafe);
-        assert!(!scan("fn f() {}").has_forbid_unsafe);
-        // In a comment it does not count.
-        assert!(!scan("// #![forbid(unsafe_code)]").has_forbid_unsafe);
-    }
-
-    #[test]
     fn flags_inline_metric_name_literals() {
         let s = scan("rrs_obs::metrics::counter_add(\"detect.hits\", 1);");
         assert_eq!(rules(&s), vec![RULE_METRIC_NAME]);
@@ -894,7 +700,9 @@ mod tests {
 
     #[test]
     fn test_code_is_exempt_from_line_rules() {
-        let s = scan("#[cfg(test)]\nmod tests {\n    fn t() { println!(\"x\"); let m: HashMap<u8,u8> = f(); }\n}");
+        let s = scan(
+            "#[cfg(test)]\nmod tests {\n    fn t() { assert!(x == 0.0); c.load(Ordering::Relaxed); }\n}",
+        );
         assert!(s.findings.is_empty(), "{:?}", s.findings);
     }
 }

@@ -52,9 +52,6 @@ pub struct Workspace {
     pub sources: Vec<SourceFile>,
     /// All manifests to audit.
     pub manifests: Vec<ManifestFile>,
-    /// `lib.rs` files that must carry `#![forbid(unsafe_code)]`,
-    /// as root-relative paths.
-    pub lib_roots: Vec<String>,
     /// Whether `root` looked like the real workspace (crates/ + Cargo.toml).
     pub is_workspace: bool,
 }
@@ -79,7 +76,6 @@ pub fn discover(root: &Path) -> io::Result<Workspace> {
 fn discover_workspace(root: &Path) -> io::Result<Workspace> {
     let mut sources = Vec::new();
     let mut manifests = Vec::new();
-    let mut lib_roots = Vec::new();
 
     let mut add_package = |pkg_root: &Path, name: &str| -> io::Result<()> {
         for (dir, class) in [
@@ -114,10 +110,6 @@ fn discover_workspace(root: &Path) -> io::Result<Workspace> {
                 path: manifest,
             });
         }
-        let lib = pkg_root.join("src/lib.rs");
-        if lib.is_file() {
-            lib_roots.push(relative(root, &lib));
-        }
         Ok(())
     };
 
@@ -140,7 +132,6 @@ fn discover_workspace(root: &Path) -> io::Result<Workspace> {
     Ok(Workspace {
         sources,
         manifests,
-        lib_roots,
         is_workspace: true,
     })
 }
@@ -167,7 +158,6 @@ fn discover_bare(root: &Path) -> io::Result<Workspace> {
     Ok(Workspace {
         sources,
         manifests,
-        lib_roots: Vec::new(),
         is_workspace: false,
     })
 }
@@ -247,7 +237,7 @@ mod tests {
         assert!(ws.is_workspace);
         assert!(ws.sources.len() > 50, "found {}", ws.sources.len());
         assert!(ws.manifests.len() >= 10);
-        let names: Vec<&str> = ws.lib_roots.iter().map(String::as_str).collect();
+        let names: Vec<&str> = ws.sources.iter().map(|s| s.rel.as_str()).collect();
         assert!(names.contains(&"src/lib.rs"));
         assert!(names.contains(&"crates/core/src/lib.rs"));
         // Fixture directories must never be scanned as workspace

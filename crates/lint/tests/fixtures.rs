@@ -23,35 +23,6 @@ fn findings(name: &str) -> Vec<(&'static str, usize)> {
 }
 
 #[test]
-fn wallclock_fixture() {
-    assert_eq!(
-        findings("wallclock"),
-        vec![
-            (rules::RULE_WALLCLOCK, 1),
-            (rules::RULE_WALLCLOCK, 2),
-            (rules::RULE_WALLCLOCK, 3),
-        ]
-    );
-}
-
-#[test]
-fn hashed_fixture() {
-    assert_eq!(
-        findings("hashed"),
-        vec![
-            (rules::RULE_DEFAULT_HASHER, 1),
-            (rules::RULE_DEFAULT_HASHER, 3),
-            (rules::RULE_DEFAULT_HASHER, 4),
-        ]
-    );
-}
-
-#[test]
-fn entropy_fixture() {
-    assert_eq!(findings("entropy"), vec![(rules::RULE_ENTROPY, 2)]);
-}
-
-#[test]
 fn float_eq_fixture() {
     assert_eq!(
         findings("float_eq"),
@@ -64,18 +35,6 @@ fn partial_cmp_fixture() {
     assert_eq!(
         findings("partial_cmp"),
         vec![(rules::RULE_PARTIAL_CMP, 2), (rules::RULE_PARTIAL_CMP, 9)]
-    );
-}
-
-#[test]
-fn output_fixture() {
-    assert_eq!(
-        findings("output"),
-        vec![
-            (rules::RULE_PRINT, 2),
-            (rules::RULE_PRINT, 3),
-            (rules::RULE_PRINT, 4),
-        ]
     );
 }
 
@@ -126,30 +85,8 @@ fn clean_fixture_is_clean() {
 }
 
 #[test]
-fn sync_fixture() {
-    assert_eq!(
-        findings("sync"),
-        vec![
-            (rules::RULE_SYNC, 1),
-            (rules::RULE_SYNC, 2),
-            (rules::RULE_SYNC, 3),
-            (rules::RULE_SYNC, 4),
-            (rules::RULE_SYNC, 5),
-        ]
-    );
-}
-
-#[test]
 fn relaxed_fixture() {
     assert_eq!(findings("relaxed"), vec![(rules::RULE_RELAXED, 4)]);
-}
-
-#[test]
-fn hash_iter_fixture() {
-    assert_eq!(
-        findings("hash_iter"),
-        vec![(rules::RULE_DEFAULT_HASHER, 1), (rules::RULE_HASH_ITER, 3)]
-    );
 }
 
 #[test]
@@ -187,7 +124,7 @@ fn api_drift_fixture_reports_both_directions() {
     // (pinned to the lock file).
     let report = rrs_lint::scan_root(&fixture("api_drift")).unwrap();
     let got: Vec<_> = report.findings.iter().map(|f| (f.rule, f.line)).collect();
-    assert_eq!(got, vec![(rules::RULE_API, 0), (rules::RULE_API, 7)]);
+    assert_eq!(got, vec![(rules::RULE_API, 0), (rules::RULE_API, 5)]);
     assert!(report.findings[0].message.contains("gamma"));
     assert!(report.findings[1].message.contains("beta"));
 }
@@ -195,7 +132,8 @@ fn api_drift_fixture_reports_both_directions() {
 #[test]
 fn fixtures_use_the_bare_policy() {
     // Fixture directories have no Cargo.toml, so the strict policy
-    // (every crate denied everything) applies.
-    let report = rrs_lint::scan_root(&fixture("wallclock")).unwrap();
-    assert_eq!(report.manifests_audited, 0);
+    // (every crate is a result crate) applies and no crate graph is read.
+    let report = rrs_lint::scan_root(&fixture("relaxed")).unwrap();
+    assert!(report.layers.is_empty(), "{:?}", report.layers);
+    assert!(!report.is_clean());
 }

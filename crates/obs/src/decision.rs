@@ -14,8 +14,16 @@
 //! [`drain`]; [`crate::export`] renders them as JSONL.
 
 use rrs_core::io::{json_number, json_string};
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::Mutex;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static RECORDS: Mutex<Vec<DecisionRecord>> = Mutex::new(Vec::new());
 
 /// One detector's verdict on the interval.

@@ -67,7 +67,12 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// Clippy reports `disallowed_macros` at the crate root, whatever item
+// or module an `#[expect]` sits on; rrs-obs is sanctioned as a whole.
+#![expect(
+    clippy::disallowed_macros,
+    reason = "each thread's open-span stack links a child span to its parent"
+)]
 
 pub mod decision;
 pub mod export;
@@ -77,8 +82,16 @@ pub mod recorder;
 pub mod sketch;
 pub mod trace;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::atomic::{AtomicBool, Ordering};
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Returns `true` when observability collection is on.

@@ -11,6 +11,10 @@
 //! [`rrs_debug!`](crate::rrs_debug) macros, which skip message
 //! formatting entirely when the level is filtered out.
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Log severity, in decreasing order of importance.
@@ -41,6 +45,10 @@ impl Level {
     }
 }
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static VERBOSITY: AtomicU8 = AtomicU8::new(Level::Info as u8);
 
 /// Sets the global verbosity: messages at levels above `level` are

@@ -18,12 +18,20 @@
 use crate::sketch::QuantileSketch;
 use rrs_core::io::{json_number_or_null, json_string};
 use std::collections::BTreeMap;
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::Mutex;
 
 /// Self-metric: how many times [`observe`] was called with bucket
 /// bounds that conflicted with the histogram's registered bounds.
 pub const METRIC_BOUNDS_CONFLICTS: &str = "obs.histogram_bounds_conflicts";
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static REGISTRY: Mutex<Option<Inner>> = Mutex::new(None);
 
 #[derive(Default)]

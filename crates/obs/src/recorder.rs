@@ -23,6 +23,10 @@
 use crate::decision::DecisionRecord;
 use crate::trace::SpanRecord;
 use std::collections::{BTreeMap, VecDeque};
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::Mutex;
 
 /// Default per-product window: the firing record plus up to 7 before it.
@@ -32,6 +36,10 @@ const SPAN_RING: usize = 32;
 /// Upper bound on retained dumps; later firings only bump a counter.
 const MAX_DUMPS: usize = 256;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static RECORDER: Mutex<Option<Inner>> = Mutex::new(None);
 
 struct Inner {

@@ -22,16 +22,36 @@
 //! nothing on the disabled path.
 
 use std::cell::RefCell;
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::atomic::{AtomicU64, Ordering};
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 use std::sync::{Mutex, MutexGuard};
 use std::time::Instant;
 
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static SPANS: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static EVENTS: Mutex<Vec<EventRecord>> = Mutex::new(Vec::new());
 
 /// Monotonic span-id source. Ids are unique per process, never reused,
 /// and carry no timing or ordering guarantees across threads — they
 /// exist only to link children to parents.
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 
 thread_local! {
@@ -107,6 +127,10 @@ impl Drop for Span {
 /// load and no clock is read.
 #[inline]
 #[must_use]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rrs-obs owns wall-clock timing; span durations never feed a result"
+)]
 pub fn span(name: &'static str) -> Span {
     if !crate::enabled() {
         return Span {
@@ -325,6 +349,10 @@ pub fn collapsed_stacks(records: &[SpanRecord]) -> String {
 /// Serializes tests that toggle the global switch or drain the global
 /// sinks. Only meaningful inside this workspace's test suites.
 #[doc(hidden)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "rrs-obs owns the process-global collection state, which no result reads"
+)]
 pub fn tests_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock()
@@ -417,6 +445,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs a thread outside the pool"
+    )]
     fn spans_on_fresh_threads_are_roots() {
         let _guard = tests_lock();
         crate::enable();
@@ -569,6 +601,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test needs threads outside the pool"
+    )]
     fn spans_from_threads_all_arrive() {
         let _guard = tests_lock();
         crate::enable();

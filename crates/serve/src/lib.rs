@@ -28,7 +28,6 @@
 //! the recovered trust table byte-matches an uninterrupted run.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod dto;

@@ -23,7 +23,6 @@
 //!   honest-ratings-are-white-noise premise ([`autocorr`]).
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub mod ar;
 pub mod autocorr;

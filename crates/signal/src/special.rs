@@ -9,7 +9,10 @@
 
 /// Lanczos coefficients (g = 7, n = 9), good to ~15 significant digits.
 const LANCZOS_G: f64 = 7.0;
-#[allow(clippy::excessive_precision)] // published constants, kept verbatim
+#[expect(
+    clippy::excessive_precision,
+    reason = "published constants, kept verbatim"
+)]
 const LANCZOS: [f64; 9] = [
     0.999_999_999_999_809_93,
     676.520_368_121_885_1,

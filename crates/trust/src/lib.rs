@@ -13,7 +13,6 @@
 //! Sun & Yang, ICC'07, which the paper's trust manager specializes.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 mod beta;
 pub mod framework;

@@ -11,6 +11,10 @@ use rrs::attack::AdaptiveAttacker;
 use rrs::challenge::{ChallengeConfig, RatingChallenge, ScoringSession};
 use rrs::AggregationScheme;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() {
     let which = std::env::args().nth(1).unwrap_or_else(|| "p".into());
     let p = PScheme::new();

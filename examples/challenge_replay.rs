@@ -12,6 +12,10 @@ use rrs::attack::{generate_population, PopulationConfig};
 use rrs::challenge::{ChallengeConfig, RatingChallenge, ScoringSession};
 use rrs::AggregationScheme;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() {
     let challenge = RatingChallenge::generate(&ChallengeConfig::paper(), 7);
     let ctx = challenge.attack_context();

@@ -16,6 +16,10 @@ use rrs::detectors::{
 use rrs::eval::report::ascii_scatter;
 use rrs_core::rng::Xoshiro256pp;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() {
     let challenge = RatingChallenge::generate(&ChallengeConfig::small(), 11);
     let ctx = challenge.attack_context();

@@ -12,6 +12,10 @@ use rrs::core::GroundTruth;
 use rrs::AggregationScheme;
 use rrs_core::rng::Xoshiro256pp;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Generate the challenge: nine TVs, 180 days of fair ratings.
     let challenge = RatingChallenge::generate(&ChallengeConfig::paper(), 7);

@@ -12,6 +12,10 @@ use rrs::signal::autocorr;
 use rrs::AggregationScheme;
 use rrs_core::rng::Xoshiro256pp;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() {
     let challenge = RatingChallenge::generate(&ChallengeConfig::paper(), 7);
     let ctx = challenge.attack_context();

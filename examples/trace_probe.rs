@@ -19,6 +19,10 @@ use rrs::challenge::{ChallengeConfig, RatingChallenge};
 use rrs::core::{AggregationScheme, GroundTruth};
 use rrs_core::rng::Xoshiro256pp;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() {
     let challenge = RatingChallenge::generate(&ChallengeConfig::small(), 7);
     let mut rng = Xoshiro256pp::seed_from_u64(7);

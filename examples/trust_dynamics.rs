@@ -12,6 +12,10 @@ use rrs::detectors::JointDetector;
 use rrs::trust::TrustManager;
 use rrs_core::rng::Xoshiro256pp;
 
+#[expect(
+    clippy::print_stdout,
+    reason = "an example's output is its demonstration"
+)]
 fn main() {
     let challenge = RatingChallenge::generate(&ChallengeConfig::paper(), 3);
     let ctx = challenge.attack_context();

@@ -40,7 +40,6 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
 
 pub use rrs_aggregation as aggregation;
 pub use rrs_attack as attack;
