@@ -13,7 +13,9 @@
 //!   representative majority-rule baseline.
 //!
 //! All three implement [`rrs_core::AggregationScheme`], so the MP metric
-//! and the Rating Challenge harness treat them interchangeably.
+//! and the Rating Challenge harness treat them interchangeably. The
+//! P-scheme's loop body is two public functions, [`epoch_step`] and
+//! [`score_slice`], which the `rrs serve` engine calls too.
 
 #![warn(missing_docs)]
 
@@ -24,6 +26,6 @@ pub mod sa;
 pub mod weighted;
 
 pub use bf::{BfConfig, BfScheme};
-pub use p_scheme::{PScheme, PSchemeConfig};
+pub use p_scheme::{epoch_step, score_slice, PScheme, PSchemeConfig};
 pub use sa::SaScheme;
 pub use weighted::weighted_aggregate;

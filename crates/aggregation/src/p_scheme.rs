@@ -14,12 +14,18 @@
 //!    epoch's ratings.
 //! 4. **Aggregate** — Eq. 7 combines the survivors, weighting each rating
 //!    by `max(T − 0.5, 0)`.
+//!
+//! Steps 1–2 are [`epoch_step`] and steps 3–4 are [`score_slice`]. Both
+//! [`PScheme::evaluate`] and the `rrs serve` engine call these two
+//! functions, so the experiments and the server run one loop. Neither
+//! function opens a span of its own: the server runs with observability
+//! on, and its read path must not add span records.
 
 use crate::filter::filter_ratings;
 use crate::weighted::weighted_aggregate;
 use rrs_core::{
-    AggregationScheme, DatasetView, EvalContext, ProductId, RaterId, RatingDataset, RatingId,
-    SchemeOutcome, TimeWindow,
+    AggregationScheme, DatasetView, EvalContext, ProductId, RaterId, RatingDataset, RatingEntry,
+    RatingId, SchemeOutcome, TimeWindow, TimelineView,
 };
 use rrs_detectors::{Band, DetectionResult, DetectorConfig, JointDetector, OnlineState};
 use rrs_trust::{TrustManager, TrustUpdate};
@@ -28,8 +34,6 @@ use std::collections::{BTreeMap, BTreeSet};
 // Metric names, declared as constants per the `metric-name` lint rule.
 const METRIC_SUSPICIOUS_SET: &str = "scheme.suspicious_set_size";
 const METRIC_EPOCH_SUSPICIOUS: &str = "scheme.epoch_suspicious";
-const METRIC_WATCHDOG_CHECKS: &str = "scheme.watchdog_checks";
-const METRIC_WATCHDOG_DIVERGENCES: &str = "scheme.watchdog_divergences";
 
 /// Configuration of the P-scheme pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -44,21 +48,6 @@ pub struct PSchemeConfig {
     /// values let a reformed rater recover faster at the cost of longer
     /// attacker memory).
     pub trust_discount: Option<f64>,
-    /// Whether the detection stage runs incrementally
-    /// ([`JointDetector::detect_all_online`], carrying rolling state
-    /// across epochs) or re-derives every curve from the full prefix
-    /// each epoch ([`JointDetector::detect_all`]). The two produce
-    /// identical output; only the per-epoch cost differs. `None` (the
-    /// default) reads the `RRS_ONLINE` environment variable: online
-    /// unless it is set to `0`, `false`, or `off`.
-    pub online_detection: Option<bool>,
-    /// Online-vs-batch divergence watchdog: every Nth epoch, when the
-    /// online path ran and observability is enabled, the batch oracle is
-    /// re-run on the same prefix and the suspicion sets compared,
-    /// feeding the `scheme.watchdog_*` counters. `Some(0)` disables it;
-    /// `None` (the default) reads the `RRS_WATCHDOG` environment
-    /// variable (an epoch interval, unset or 0 = off).
-    pub watchdog_every: Option<usize>,
 }
 
 impl PSchemeConfig {
@@ -69,31 +58,69 @@ impl PSchemeConfig {
             detectors: DetectorConfig::paper(),
             filter_trust_threshold: 0.5,
             trust_discount: None,
-            online_detection: None,
-            watchdog_every: None,
         }
     }
 }
 
-/// Resolves the `RRS_ONLINE` environment switch: online detection unless
-/// explicitly turned off (mirrors how `RRS_THREADS` gates parallelism —
-/// the fast path is the default, the slow one stays reachable for
-/// byte-for-byte cross-checks in `scripts/verify.sh`).
-fn online_default() -> bool {
-    !matches!(
-        std::env::var("RRS_ONLINE").as_deref(),
-        Ok("0" | "false" | "off")
-    )
+/// One epoch of the P-scheme up to trust (steps 1–2).
+///
+/// Detects over `prefix` (everything seen up to `horizon`'s end) with
+/// the trust values `trust` holds from the previous epoch, carrying the
+/// detectors' rolling state in `online`. Then it applies the optional
+/// `trust_discount` and absorbs `period`'s rating counts into `trust`
+/// (Procedure 1). Returns the suspicion marks, the per-product detection
+/// results and the trust update.
+pub fn epoch_step(
+    detector: &JointDetector,
+    prefix: &DatasetView<'_>,
+    horizon: TimeWindow,
+    period: TimeWindow,
+    trust_discount: Option<f64>,
+    trust: &mut TrustManager,
+    online: &mut OnlineState,
+) -> (
+    BTreeSet<RatingId>,
+    Vec<(ProductId, DetectionResult)>,
+    TrustUpdate,
+) {
+    let snapshot = trust.snapshot();
+    let trust_fn = |r: RaterId| snapshot.get(&r).copied().unwrap_or(0.5);
+    let (marks, per_product) = detector.detect_all_online(prefix, horizon, trust_fn, online);
+    if let Some(factor) = trust_discount {
+        trust.discount_all(factor);
+    }
+    let update = trust.update_epoch(prefix, period, &marks);
+    (marks, per_product, update)
 }
 
-/// Resolves the `RRS_WATCHDOG` environment switch: an epoch interval for
-/// the online-vs-batch divergence watchdog (unset, unparsable, or 0 =
-/// off).
-fn watchdog_default() -> usize {
-    std::env::var("RRS_WATCHDOG")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(0)
+/// One product's score over its scoring-window `slice` (steps 3–4).
+///
+/// Removes the marked ratings of raters below `filter_trust_threshold`,
+/// then combines the survivors by Eq. 7. If the filter removed
+/// everything, the raw slice is scored instead: a deployed system never
+/// shows "no rating" for a rated product. `None` only for an empty
+/// slice.
+#[must_use]
+pub fn score_slice(
+    slice: TimelineView<'_>,
+    marks: &BTreeSet<RatingId>,
+    trust: &TrustManager,
+    filter_trust_threshold: f64,
+) -> Option<f64> {
+    let kept = filter_ratings(slice, marks, |r| trust.trust_of(r), filter_trust_threshold);
+    trust_weighted(kept, trust).or_else(|| trust_weighted(slice.iter(), trust))
+}
+
+/// Eq. 7 over `entries`, each weighted by its rater's current trust.
+fn trust_weighted(
+    entries: impl IntoIterator<Item = RatingEntry>,
+    trust: &TrustManager,
+) -> Option<f64> {
+    let pairs: Vec<(f64, f64)> = entries
+        .into_iter()
+        .map(|e| (e.value(), trust.trust_of(e.rater())))
+        .collect();
+    weighted_aggregate(&pairs)
 }
 
 /// The signal-based reliable rating-aggregation system.
@@ -131,77 +158,37 @@ impl AggregationScheme for PScheme {
 
     fn evaluate(&self, dataset: &RatingDataset, ctx: &EvalContext) -> SchemeOutcome {
         let detector = JointDetector::new(self.config.detectors);
-        let online = self.config.online_detection.unwrap_or_else(online_default);
-        let watchdog_every = self.config.watchdog_every.unwrap_or_else(watchdog_default);
-        let mut online_state = OnlineState::new();
+        let mut online = OnlineState::new();
         let mut trust = TrustManager::new();
         let mut out = SchemeOutcome::new();
-        let mut scores: BTreeMap<rrs_core::ProductId, Vec<Option<f64>>> = BTreeMap::new();
+        let mut scores: BTreeMap<ProductId, Vec<Option<f64>>> = BTreeMap::new();
 
-        for (epoch_idx, period) in ctx.periods().into_iter().enumerate() {
+        for period in ctx.periods() {
             // The epoch span is the root of this epoch's span tree: the
             // detect/trust/aggregate spans below open while it is live,
             // so (in serial execution) they record it as their parent
             // and flamegraph exports show the full hierarchy.
             let _epoch_span = rrs_obs::trace::span("scheme.epoch");
             // Everything seen up to the end of this period, as a borrowed
-            // prefix view: epoch e must not re-clone epochs 0..e (the old
-            // `restricted()` copy made the run O(epochs × ratings) in
-            // allocation alone; the `#[cfg(test)]` oracle below keeps the
-            // copy path as the reference the view is tested against).
-            let prefix_window = TimeWindow::new(ctx.horizon().start(), period.end())
+            // prefix view: epoch e must not re-clone epochs 0..e (the
+            // `#[cfg(test)]` oracle below keeps the `restricted()` copy
+            // path as the reference the view is tested against).
+            let horizon = TimeWindow::new(ctx.horizon().start(), period.end())
                 .expect("period lies inside the horizon");
-            let prefix = dataset.prefix_view(prefix_window);
+            let prefix = dataset.prefix_view(horizon);
 
-            // 1. Detect with the previous epoch's trust. The online path
-            // carries rolling per-product state across epochs so only the
-            // ratings that arrived this period cost signal work; its
-            // output is identical to the batch path (oracle-tested in
-            // rrs-detectors and below).
-            let snapshot = trust.snapshot();
-            let trust_fn = |r: RaterId| snapshot.get(&r).copied().unwrap_or(0.5);
-            let (marks, per_product) = if online {
-                detector.detect_all_online(&prefix, prefix_window, trust_fn, &mut online_state)
-            } else {
-                detector.detect_all(&prefix, prefix_window, trust_fn)
-            };
+            // 1 + 2. Detect with the previous epoch's trust, then update
+            // trust with this epoch's counts (Procedure 1).
+            let (marks, per_product, update) = epoch_step(
+                &detector,
+                &prefix,
+                horizon,
+                period,
+                self.config.trust_discount,
+                &mut trust,
+                &mut online,
+            );
             out.mark_suspicious_all(marks.iter().copied());
-
-            // Divergence watchdog: every Nth epoch, cross-check the
-            // online path against the batch oracle on the same prefix.
-            // Pure health telemetry — it never alters the run's output,
-            // so it only spends the batch re-detection when the metrics
-            // can actually land somewhere.
-            if online
-                && watchdog_every > 0
-                && (epoch_idx + 1) % watchdog_every == 0
-                && rrs_obs::enabled()
-            {
-                let _watchdog_span = rrs_obs::trace::span("scheme.watchdog");
-                let (batch_marks, _) = detector.detect_all(&prefix, prefix_window, trust_fn);
-                rrs_obs::metrics::counter_add(METRIC_WATCHDOG_CHECKS, 1);
-                // An add of 0 still registers the counter, so a healthy
-                // run reports an explicit `... 0` instead of silence.
-                rrs_obs::metrics::counter_add(
-                    METRIC_WATCHDOG_DIVERGENCES,
-                    u64::from(batch_marks != marks),
-                );
-                if batch_marks != marks {
-                    rrs_obs::rrs_error!(
-                        "online/batch divergence at epoch {epoch_idx}: \
-                         online marked {} ratings, batch oracle marked {}",
-                        marks.len(),
-                        batch_marks.len()
-                    );
-                }
-            }
-
-            // 2. Update trust with this epoch's counts (Procedure 1),
-            // optionally forgetting a fraction of the old evidence first.
-            if let Some(factor) = self.config.trust_discount {
-                trust.discount_all(factor);
-            }
-            let update = trust.update_epoch(&prefix, period, &marks);
 
             if rrs_obs::enabled() {
                 // Suspicion-set health telemetry, written serially from
@@ -226,35 +213,13 @@ impl AggregationScheme for PScheme {
             // window (all ratings so far under cumulative scoring).
             for (pid, timeline) in dataset.products() {
                 let slice = timeline.in_window(ctx.scoring_window(period));
-                let entry = scores.entry(pid).or_default();
-                if slice.is_empty() {
-                    entry.push(None);
-                    continue;
-                }
-                let filter_span = rrs_obs::trace::span("aggregate.filter");
-                let kept = filter_ratings(
+                let _score_span = rrs_obs::trace::span("aggregate.score");
+                scores.entry(pid).or_default().push(score_slice(
                     slice,
                     &marks,
-                    |r| trust.trust_of(r),
+                    &trust,
                     self.config.filter_trust_threshold,
-                );
-                drop(filter_span);
-                let _weighted_span = rrs_obs::trace::span("aggregate.weighted");
-                let pairs: Vec<(f64, f64)> = kept
-                    .iter()
-                    .map(|e| (e.value(), trust.trust_of(e.rater())))
-                    .collect();
-                // If the filter removed everything, fall back to the raw
-                // slice: reporting *some* score mirrors a deployed system,
-                // which never shows "no rating" for a rated product.
-                let score = weighted_aggregate(&pairs).or_else(|| {
-                    let pairs: Vec<(f64, f64)> = slice
-                        .iter()
-                        .map(|e| (e.value(), trust.trust_of(e.rater())))
-                        .collect();
-                    weighted_aggregate(&pairs)
-                });
-                entry.push(score);
+                ));
             }
         }
 
@@ -351,11 +316,13 @@ mod tests {
         RatingValue, Timestamp,
     };
 
-    /// The pre-refactor reference implementation of
-    /// [`PScheme::evaluate`]: every epoch materializes its prefix with
-    /// `RatingDataset::restricted` (a full copy) instead of the zero-copy
-    /// [`RatingDataset::prefix_view`]. Kept behind `#[cfg(test)]` as the
-    /// oracle the view path is property-tested against.
+    /// The reference implementation of [`PScheme::evaluate`], built
+    /// from the simplest parts: every epoch re-runs the batch
+    /// [`JointDetector::detect_all`] on a `RatingDataset::restricted`
+    /// prefix (a full copy), where the production loop runs the
+    /// incremental detector on a zero-copy [`RatingDataset::prefix_view`]
+    /// through [`epoch_step`] and [`score_slice`]. Kept behind
+    /// `#[cfg(test)]` as the oracle that path is property-tested against.
     fn evaluate_with_restricted_copies(
         scheme: &PScheme,
         dataset: &RatingDataset,
@@ -543,12 +510,11 @@ mod tests {
         assert_eq!(s.name(), "P-scheme");
         assert_eq!(s.config().filter_trust_threshold, 0.5);
         assert_eq!(s.config().trust_discount, None);
-        assert_eq!(s.config().online_detection, None);
     }
 
     props! {
         #[test]
-        fn prefix_view_path_equals_restricted_copy_oracle(
+        fn online_prefix_view_loop_equals_batch_restricted_copy_oracle(
             seed in 0u64..64,
             burst_start in 31.0f64..55.0,
             burst_days in 0usize..10,
@@ -560,39 +526,11 @@ mod tests {
             }
             let context = ctx(&d);
             let scheme = PScheme::new();
-            let via_view = scheme.evaluate(&d, &context);
-            let via_copy = evaluate_with_restricted_copies(&scheme, &d, &context);
+            let production = scheme.evaluate(&d, &context);
+            let oracle = evaluate_with_restricted_copies(&scheme, &d, &context);
             prop_assert!(
-                via_view == via_copy,
-                "prefix-view evaluate diverged from the restricted()-copy oracle"
-            );
-        }
-
-        #[test]
-        fn online_epoch_loop_equals_batch_oracle(
-            seed in 0u64..48,
-            burst_start in 31.0f64..55.0,
-            burst_days in 0usize..10,
-            burst_value in 0.0f64..2.0,
-        ) {
-            let mut d = fair_dataset(seed);
-            if burst_days > 0 {
-                add_burst(&mut d, burst_start, burst_days, 4, burst_value);
-            }
-            let context = ctx(&d);
-            let online = PScheme::with_config(PSchemeConfig {
-                online_detection: Some(true),
-                ..PSchemeConfig::paper()
-            })
-            .evaluate(&d, &context);
-            let batch = PScheme::with_config(PSchemeConfig {
-                online_detection: Some(false),
-                ..PSchemeConfig::paper()
-            })
-            .evaluate(&d, &context);
-            prop_assert!(
-                online == batch,
-                "incremental epoch loop diverged from the batch-detection oracle"
+                production == oracle,
+                "online prefix-view evaluate diverged from the batch restricted()-copy oracle"
             );
         }
 

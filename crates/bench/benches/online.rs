@@ -1,14 +1,15 @@
 //! The incremental-detection suite: the same attacked small-scale
-//! challenge as the `detection` suite, evaluated once with the batch
-//! epoch loop and once with the online epoch loop, plus the raw
-//! detector-only comparison without trust/aggregation around it.
+//! challenge as the `detection` suite, evaluated with the P-scheme's
+//! epoch loop (whose detection is the online path), plus the raw
+//! detector-only comparison of the batch and online detectors without
+//! trust/aggregation around them.
 //!
 //! Emits `BENCH_online.json`. The `"stage_breakdown"` section comes from
-//! one traced **online** run, so its `signal` stage shows the
-//! incremental per-epoch cost (compare with the same stage in
+//! one traced run, so its `signal` stage shows the incremental
+//! per-epoch cost (compare with the same stage in
 //! `BENCH_detection.json` history for the batch-era numbers).
 
-use rrs_aggregation::{PScheme, PSchemeConfig};
+use rrs_aggregation::PScheme;
 use rrs_attack::AttackStrategy;
 use rrs_bench::{bench_workbench, Harness};
 use rrs_core::rng::Xoshiro256pp;
@@ -28,21 +29,11 @@ fn main() {
     let attacked = workbench.challenge.attacked_dataset(&seq);
     let ctx = workbench.challenge.eval_context();
 
-    let batch = PScheme::with_config(PSchemeConfig {
-        online_detection: Some(false),
-        ..PSchemeConfig::paper()
-    });
-    let online = PScheme::with_config(PSchemeConfig {
-        online_detection: Some(true),
-        ..PSchemeConfig::paper()
-    });
+    let online = PScheme::new();
 
     rrs_obs::disable();
 
-    // Full pipeline, both modes — identical output, different cost.
-    h.bench("epoch_loop_batch", || {
-        batch.evaluate(&attacked, &ctx).suspicious().len()
-    });
+    // The full pipeline.
     h.bench("epoch_loop_online", || {
         online.evaluate(&attacked, &ctx).suspicious().len()
     });
@@ -72,8 +63,8 @@ fn main() {
         total
     });
 
-    // One traced online run feeding the per-stage breakdown: `signal` is
-    // now the incremental absorb/settle cost, not a full re-derivation.
+    // One traced run feeding the per-stage breakdown: `signal` is the
+    // incremental absorb/settle cost, not a full re-derivation.
     h.trace_stages(|| online.evaluate(&attacked, &ctx));
     rrs_obs::reset();
 

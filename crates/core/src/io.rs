@@ -178,7 +178,7 @@ pub fn json_number(x: f64) -> String {
 /// [`json_number`], non-finite ones (NaN/±inf, which JSON cannot
 /// represent) become `null`.
 ///
-/// Telemetry values cross this API unvalidated — a gauge can legally be
+/// Metric values cross this API unvalidated — a gauge can legally be
 /// set to the result of a division that went 0/0 — so the serializer,
 /// not the caller, owns producing parseable output.
 #[must_use]

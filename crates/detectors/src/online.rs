@@ -32,8 +32,15 @@
 //! batch code, *shared* with this path (see [`crate::mc::judge_segments`]
 //! and friends), which is what makes the agreement exact rather than
 //! approximate: the oracle property tests in this module assert
-//! `DetectionResult` equality epoch by epoch, and `scripts/verify.sh`
-//! byte-diffs whole report trees between the two modes.
+//! `DetectionResult` equality epoch by epoch against
+//! [`JointDetector::detect_all`], and `rrs-eval`'s `online_matches_batch`
+//! test holds whole scored submission populations to the same bar.
+//!
+//! This is the only detection path the P-scheme and `rrs serve` run;
+//! the batch path stays as the one-shot API (`rrs detect`) and as the
+//! reference these tests compare against. Its only instruments are O(1)
+//! per product: the `signal.online.{absorbed_ratings,rebuilds,products}`
+//! series.
 //!
 //! The cache trusts its caller to feed it *prefix views of one growing
 //! stream* (the epoch loop's shape). Every absorb re-checks the cheap
@@ -49,17 +56,12 @@ use crate::mc::{self, McConfig, McOutcome};
 use crate::me::{self, MeConfig, MeOutcome};
 use rrs_core::{DatasetView, ProductId, RaterId, RatingId, TimeWindow, TimelineView};
 use rrs_signal::curve::{Curve, CurvePoint};
-use rrs_signal::{ArAccumulator, Cusum, DecayedHistogram, Ewma, Welford, WindowedWelford};
 use std::collections::{BTreeMap, BTreeSet};
 
 // Metric names, declared as constants per the `metric-name` lint rule.
-const METRIC_CUSUM_ALARMS: &str = "signal.online.cusum_alarms";
-const METRIC_EWMA_ALARMS: &str = "signal.online.ewma_alarms";
 const METRIC_ABSORBED_RATINGS: &str = "signal.online.absorbed_ratings";
 const METRIC_REBUILDS: &str = "signal.online.rebuilds";
 const METRIC_PRODUCTS: &str = "signal.online.products";
-const METRIC_MAX_WINDOW_VARIANCE: &str = "signal.online.max_window_variance";
-const METRIC_MIN_AR_ERROR: &str = "signal.online.min_ar_error";
 
 /// Rolling detector state carried across scoring epochs, one slot per
 /// product. Feed it to [`JointDetector::detect_all_online`] with a
@@ -92,10 +94,6 @@ impl OnlineState {
     /// [`OnlineState::restore`] rebuilds them by replaying the exact
     /// push/sort operations the live path uses, which keeps the image
     /// minimal without costing a single bit of fidelity.
-    ///
-    /// Rolling telemetry is excluded on purpose: it is diagnostics that
-    /// never influences detection, and a restored process starts with
-    /// fresh observability sinks anyway.
     #[must_use]
     pub fn snapshot(&self) -> OnlineSnapshot {
         let products = self
@@ -167,7 +165,6 @@ impl OnlineState {
                     settled: restore_points(&p.me.settled),
                     next_start: p.me.scan_from as usize,
                 },
-                telemetry: None,
             };
             products.insert(p.product, state);
         }
@@ -294,10 +291,6 @@ struct ProductState {
     larc: ArcBandState,
     hc: HcWindowState,
     me: WindowedState,
-    /// Rolling diagnostics, maintained only while the observability sink
-    /// is enabled. They feed counters/gauges and never influence
-    /// detection, so report trees stay identical across modes.
-    telemetry: Option<Telemetry>,
 }
 
 /// What [`StreamCache::absorb`] did with the epoch's entries.
@@ -452,50 +445,6 @@ struct HcWindowState {
     sorted: Vec<f64>,
     /// Start index of the window `sorted` currently mirrors.
     prev_start: Option<usize>,
-}
-
-/// Rolling per-product instruments exercising the incremental statistics
-/// of `rrs-signal`: full-stream and windowed Welford moments, a
-/// count-decayed value histogram, incremental AR residual state, and the
-/// CUSUM/EWMA change charts. Pure diagnostics — alarms surface as
-/// counters, never as detection input.
-#[derive(Debug, Clone)]
-struct Telemetry {
-    welford: Welford,
-    windowed: WindowedWelford,
-    histogram: DecayedHistogram,
-    ar: ArAccumulator,
-    cusum: Cusum,
-    ewma: Ewma,
-}
-
-impl Telemetry {
-    fn new() -> Self {
-        // Centered on the rating scale's midpoint with generous bands:
-        // the charts are meant to flag gross stream shifts in traces,
-        // not to re-implement the detectors.
-        Telemetry {
-            welford: Welford::new(),
-            windowed: WindowedWelford::new(64),
-            histogram: DecayedHistogram::new(0.0, 5.0, 10, 0.99),
-            ar: ArAccumulator::new(4),
-            cusum: Cusum::new(2.5, 0.25, 8.0),
-            ewma: Ewma::new(2.5, 1.0, 0.2, 4.0),
-        }
-    }
-
-    fn observe(&mut self, v: f64) {
-        self.welford.push(v);
-        self.windowed.push(v);
-        self.histogram.push(v);
-        self.ar.push(v);
-        if self.cusum.push(v).is_some() {
-            rrs_obs::metrics::counter_add(METRIC_CUSUM_ALARMS, 1);
-        }
-        if self.ewma.push(v).is_some() {
-            rrs_obs::metrics::counter_add(METRIC_EWMA_ALARMS, 1);
-        }
-    }
 }
 
 /// Incremental MC: settle every point whose right window closed at or
@@ -783,22 +732,12 @@ where
     };
     let stream_median = state.cache.median().unwrap_or(2.5);
     drop(online_span);
-    if rrs_obs::enabled() {
-        // Rolling instruments are diagnostics riding along with the
-        // stream, not detection work — billed to their own stage so the
-        // `signal` totals reflect what detection itself costs.
-        let _telemetry_span = rrs_obs::trace::span("obs.telemetry");
-        let telemetry = state.telemetry.get_or_insert_with(Telemetry::new);
-        for &v in &state.cache.values[new_from..] {
-            telemetry.observe(v);
-        }
-        rrs_obs::metrics::counter_add(
-            METRIC_ABSORBED_RATINGS,
-            (state.cache.values.len() - new_from) as u64,
-        );
-        if rebuilt {
-            rrs_obs::metrics::counter_add(METRIC_REBUILDS, 1);
-        }
+    rrs_obs::metrics::counter_add(
+        METRIC_ABSORBED_RATINGS,
+        (state.cache.values.len() - new_from) as u64,
+    );
+    if rebuilt {
+        rrs_obs::metrics::counter_add(METRIC_REBUILDS, 1);
     }
 
     let config = detector.config();
@@ -868,10 +807,10 @@ where
 
 impl JointDetector {
     /// Incremental variant of [`JointDetector::detect_all`]: identical
-    /// output (the oracle property tests assert exact equality and the
-    /// verify script byte-diffs report trees), but each epoch's signal
-    /// stage touches only the ratings that arrived since the previous
-    /// call with the same `state`.
+    /// output (the oracle property tests below and `rrs-eval`'s
+    /// `online_matches_batch` test assert exact equality), but each
+    /// epoch's signal stage touches only the ratings that arrived since
+    /// the previous call with the same `state`.
     ///
     /// The caller keeps one [`OnlineState`] per evaluation and feeds
     /// growing prefix views of the same dataset, exactly like the
@@ -921,37 +860,10 @@ impl JointDetector {
         for (_, result) in &per_product {
             all.extend(result.suspicious.iter().copied());
         }
-        if rrs_obs::enabled() {
-            epoch_gauges(state);
-        }
+        // Set serially after the parallel map, so the value is
+        // thread-count independent.
+        rrs_obs::metrics::gauge_set(METRIC_PRODUCTS, state.products.len() as f64);
         (all, per_product)
-    }
-}
-
-/// Epoch-level gauges over the rolling telemetry, emitted serially in
-/// product order after the parallel map (so values are thread-count
-/// independent).
-fn epoch_gauges(state: &OnlineState) {
-    rrs_obs::metrics::gauge_set(METRIC_PRODUCTS, state.products.len() as f64);
-    let mut max_window_variance: Option<f64> = None;
-    let mut min_ar_error: Option<f64> = None;
-    for product_state in state.products.values() {
-        let Some(t) = &product_state.telemetry else {
-            continue;
-        };
-        if let Some(v) = t.windowed.variance() {
-            max_window_variance = Some(max_window_variance.map_or(v, |m| m.max(v)));
-        }
-        if let Ok(model) = t.ar.fit() {
-            let e = model.normalized_error();
-            min_ar_error = Some(min_ar_error.map_or(e, |m| m.min(e)));
-        }
-    }
-    if let Some(v) = max_window_variance {
-        rrs_obs::metrics::gauge_set(METRIC_MAX_WINDOW_VARIANCE, v);
-    }
-    if let Some(e) = min_ar_error {
-        rrs_obs::metrics::gauge_set(METRIC_MIN_AR_ERROR, e);
     }
 }
 

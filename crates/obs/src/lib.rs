@@ -8,7 +8,7 @@
 //!   thread-safe in-memory sink, and parent/child structure from a
 //!   thread-local span stack. Span names are dotted `stage.detail`
 //!   strings (`"signal.mc"`, `"detect.integrate"`,
-//!   `"trust.update_epoch"`, `"aggregate.filter"`); the stage prefix is
+//!   `"trust.update_epoch"`, `"aggregate.score"`); the stage prefix is
 //!   what per-stage breakdowns group by, and
 //!   [`trace::collapsed_stacks`] renders a batch as flamegraph input.
 //! * [`metrics`] — a registry of counters, gauges, fixed-bucket

@@ -1,11 +1,12 @@
 //! The serving engine: the P-scheme epoch loop made durable.
 //!
 //! [`Engine`] owns the live rating dataset, the trust manager, the
-//! online detector state, and the current suspicion set, and mirrors
-//! exactly the epoch loop `rrs_aggregation::PScheme::evaluate` runs in
-//! batch: detect with last epoch's trust → update trust (Procedure 1)
-//! → filter and weight scores (Eq. 7). Batch evaluation and this
-//! engine therefore agree bit-for-bit on any shared prefix of events.
+//! online detector state, and the current suspicion set. An epoch is
+//! `rrs_aggregation::epoch_step` (detect with last epoch's trust, then
+//! update trust by Procedure 1) and a score read is
+//! `rrs_aggregation::score_slice` (filter, then Eq. 7): the same two
+//! functions `PScheme::evaluate` calls, so the experiments and the
+//! server cannot drift apart.
 //!
 //! Durability is write-ahead: every accepted submission and every
 //! epoch boundary hits the fsynced WAL **before** the in-memory state
@@ -18,9 +19,8 @@
 
 use crate::checkpoint::{read_checkpoint, write_checkpoint, Checkpoint};
 use crate::dto::RatingSubmission;
-use crate::wal::{read_wal, WalEvent, WalWriter};
-use rrs_aggregation::filter::filter_ratings;
-use rrs_aggregation::weighted_aggregate;
+use crate::wal::{read_wal, repair_torn_tail, WalEvent, WalWriter};
+use rrs_aggregation::{epoch_step, score_slice};
 use rrs_core::{ProductId, RaterId, RatingDataset, RatingId, TimeWindow, Timestamp};
 use rrs_detectors::{DetectorConfig, JointDetector, OnlineState};
 use rrs_obs::rrs_warn;
@@ -201,6 +201,7 @@ impl Engine {
                 "checkpoint reflects {checkpointed_events} WAL events but the log holds only {total_events}"
             )));
         }
+        repair_torn_tail(dir, &replay)?;
 
         let mut engine = Engine {
             config,
@@ -329,26 +330,24 @@ impl Engine {
     }
 
     /// The in-memory epoch step, shared by the live path and WAL
-    /// replay. Mirrors `PScheme::evaluate` exactly: detect with the
-    /// previous epoch's trust over the full prefix, then update trust
-    /// over this period's ratings with the fresh marks.
+    /// replay: the P-scheme's [`epoch_step`] over the full prefix.
     fn apply_epoch(&mut self) {
         let index = self.epochs as f64;
         let period = TimeWindow::ordered(
             Timestamp::saturating(index * self.config.period_days),
             Timestamp::saturating((index + 1.0) * self.config.period_days),
         );
-        let prefix_window = TimeWindow::ordered(Timestamp::ZERO, period.end());
-        let prefix = self.dataset.prefix_view(prefix_window);
-        let snapshot = self.trust.snapshot();
-        let trust_fn = |r: RaterId| snapshot.get(&r).copied().unwrap_or(0.5);
-        let (marks, _per_product) =
-            self.detector
-                .detect_all_online(&prefix, prefix_window, trust_fn, &mut self.online);
-        if let Some(factor) = self.config.trust_discount {
-            self.trust.discount_all(factor);
-        }
-        self.trust.update_epoch(&prefix, period, &marks);
+        let horizon = TimeWindow::ordered(Timestamp::ZERO, period.end());
+        let prefix = self.dataset.prefix_view(horizon);
+        let (marks, _, _) = epoch_step(
+            &self.detector,
+            &prefix,
+            horizon,
+            period,
+            self.config.trust_discount,
+            &mut self.trust,
+            &mut self.online,
+        );
         self.marks = marks;
         self.epochs += 1;
     }
@@ -452,29 +451,15 @@ impl Engine {
     pub fn score_of(&self, product: ProductId) -> Option<ProductScore> {
         let timeline = self.dataset.product(product)?;
         let slice = timeline.in_window(self.scoring_window());
-        let score = if self.epochs == 0 || slice.is_empty() {
+        let score = if self.epochs == 0 {
             None
         } else {
-            let kept = filter_ratings(
+            score_slice(
                 slice,
                 &self.marks,
-                |r| self.trust.trust_of(r),
+                &self.trust,
                 self.config.filter_trust_threshold,
-            );
-            let pairs: Vec<(f64, f64)> = kept
-                .iter()
-                .map(|e| (e.value(), self.trust.trust_of(e.rater())))
-                .collect();
-            // Same fallback as the batch P-scheme: if the filter removed
-            // everything, score the raw slice — a deployed system never
-            // shows "no rating" for a rated product.
-            weighted_aggregate(&pairs).or_else(|| {
-                let pairs: Vec<(f64, f64)> = slice
-                    .iter()
-                    .map(|e| (e.value(), self.trust.trust_of(e.rater())))
-                    .collect();
-                weighted_aggregate(&pairs)
-            })
+            )
         };
         Some(ProductScore {
             product,

@@ -17,8 +17,11 @@
 //!
 //! A torn final line (no trailing `\n` — the classic power-cut artifact
 //! of an append that never completed) is detected and dropped: it was
-//! never acknowledged, so dropping it is correct. A *complete* line
-//! that fails to parse is corruption and refuses to load.
+//! never acknowledged, so dropping it is correct. [`repair_torn_tail`]
+//! also cuts it off the file before the writer reopens the log, so the
+//! next append starts on a fresh line instead of being glued onto the
+//! torn bytes. A *complete* line that fails to parse is corruption and
+//! refuses to load.
 
 use crate::dto::{parse_submission, RatingSubmission};
 use rrs_core::io::{jsonl_field, parse_jsonl_object, JsonScalar};
@@ -160,6 +163,9 @@ pub struct WalReplay {
     pub events: Vec<WalEvent>,
     /// Whether a torn (unterminated) final line was dropped.
     pub torn_tail: bool,
+    /// Byte length of the complete lines: where the torn tail, if any,
+    /// begins.
+    pub complete_len: u64,
 }
 
 /// Loads the WAL, tolerating exactly one torn final line.
@@ -183,6 +189,7 @@ pub fn read_wal(dir: &Path) -> std::io::Result<WalReplay> {
             return Ok(WalReplay {
                 events: Vec::new(),
                 torn_tail: false,
+                complete_len: 0,
             })
         }
         Err(e) => return Err(e),
@@ -190,6 +197,7 @@ pub fn read_wal(dir: &Path) -> std::io::Result<WalReplay> {
     let mut events = Vec::new();
     let mut rest: &[u8] = &raw;
     let mut line_no = 0usize;
+    let mut complete_len = 0u64;
     let torn_tail = loop {
         match rest.iter().position(|&b| b == b'\n') {
             Some(at) => {
@@ -198,12 +206,36 @@ pub fn read_wal(dir: &Path) -> std::io::Result<WalReplay> {
                     .map_err(|_| corrupt(&path, line_no, "non-UTF-8 bytes".to_string()))?;
                 let event = WalEvent::from_jsonl(line).map_err(|e| corrupt(&path, line_no, e))?;
                 events.push(event);
+                complete_len += at as u64 + 1;
                 rest = &rest[at + 1..];
             }
             None => break !rest.is_empty(),
         }
     };
-    Ok(WalReplay { events, torn_tail })
+    Ok(WalReplay {
+        events,
+        torn_tail,
+        complete_len,
+    })
+}
+
+/// Truncates the log on disk to the complete lines `replay` read, and
+/// makes the cut durable. A no-op when the tail was whole.
+///
+/// Run it before [`WalWriter::open`]: the writer appends at the end of
+/// the file, so without the cut the first batch acknowledged after
+/// recovery would extend the torn line into a corrupt one.
+///
+/// # Errors
+///
+/// Propagates filesystem errors.
+pub(crate) fn repair_torn_tail(dir: &Path, replay: &WalReplay) -> std::io::Result<()> {
+    if !replay.torn_tail {
+        return Ok(());
+    }
+    let file = OpenOptions::new().write(true).open(dir.join(WAL_FILE))?;
+    file.set_len(replay.complete_len)?;
+    file.sync_data()
 }
 
 fn corrupt(path: &Path, line: usize, message: String) -> std::io::Error {
@@ -286,6 +318,18 @@ mod tests {
         let replay = read_wal(&dir).expect("replay");
         assert!(replay.torn_tail);
         assert_eq!(replay.events, vec![WalEvent::Rating(a)]);
+
+        // The repair cuts exactly the torn bytes, so the log reads back
+        // whole and the next append lands on a fresh line.
+        repair_torn_tail(&dir, &replay).expect("repair");
+        let whole = std::fs::read(dir.join(WAL_FILE)).expect("read");
+        assert_eq!(whole.len() as u64, replay.complete_len);
+        assert_eq!(whole.last(), Some(&b'\n'));
+        let mut wal = WalWriter::open(&dir, 1).expect("reopen");
+        wal.append_batch(&[WalEvent::Epoch]).expect("append");
+        let replay = read_wal(&dir).expect("replay");
+        assert!(!replay.torn_tail);
+        assert_eq!(replay.events, vec![WalEvent::Rating(a), WalEvent::Epoch]);
         std::fs::remove_dir_all(&dir).expect("cleanup");
     }
 

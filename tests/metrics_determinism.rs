@@ -3,8 +3,8 @@
 //! Worker threads may only make commuting registry writes (counter
 //! adds, integer-bucket sketch observations); gauges are written from
 //! serial points of the epoch loop. This test drives the full
-//! `rrs metrics` pipeline — scenario, P-scheme with watchdog, renderer
-//! — at 1 thread and at 8 and compares the rendered bytes.
+//! `rrs metrics` pipeline — scenario, P-scheme, renderer — at 1 thread
+//! and at 8 and compares the rendered bytes.
 
 fn run_metrics() -> String {
     let args: Vec<String> = ["downgrade-burst", "--seed", "7"]
@@ -24,19 +24,17 @@ fn metrics_exposition_is_thread_count_invariant() {
     );
 
     // Detector-health wiring sanity: the scenario is a real attack, so
-    // the per-detector fire counters and suspicion telemetry are live,
-    // and the online run agreed with its batch oracle.
+    // the per-detector fire counters, the suspicion telemetry and the
+    // online detector's O(1) series (written from pool workers, then
+    // serially) are all live.
     for metric in [
         "detect_fired_mc",
         "detect_marked_per_product",
         "trust_mass_total",
         "scheme_suspicious_set_size",
-        "scheme_watchdog_checks",
+        "signal_online_absorbed_ratings",
+        "signal_online_products",
     ] {
         assert!(serial.contains(metric), "missing {metric}:\n{serial}");
     }
-    assert!(
-        serial.contains("scheme_watchdog_divergences 0"),
-        "online run diverged from the batch oracle:\n{serial}"
-    );
 }
